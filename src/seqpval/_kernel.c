@@ -1,0 +1,220 @@
+/* Compiled corridor kernel: the lattice recursion behind BoundaryTable.extend
+ * (under the null rate alpha) and inference._sweep (under any p).
+ *
+ * Both functions repeat the numpy reference loops operation for operation, so
+ * their results are bit-identical to them.  That holds only when the file is
+ * compiled without contraction into fused multiply-adds and without
+ * -ffast-math (the loader passes -O2 -ffp-contract=off).
+ *
+ * The alive cells live in a work buffer owned by the caller: cells
+ * buf[start .. start + w) hold the masses of S = off .. off + w - 1.  A step
+ * updates them in place, top down, into buf[start .. start + w] and then trims
+ * the window.  The integer state is passed as st = {n, start, w, off}, where n
+ * is the last completed step; the kernel updates it as it goes, so the caller
+ * resumes from it after any return.
+ */
+
+#include <stdint.h>
+#include <string.h>
+
+enum {
+    SEQPVAL_DONE = 0,       /* reached the target step */
+    SEQPVAL_ROOM = 1,       /* the work buffer cannot hold the next step */
+    SEQPVAL_DEGENERATE = 2, /* step st[0] + 1 admits no corridor (U <= L) */
+    SEQPVAL_FLOOR = 3,      /* the alive total fell to alive_floor */
+    SEQPVAL_EMPTY = 4,      /* no alive cell is left; st[0] is the horizon */
+    SEQPVAL_FLUSH = 5       /* the record buffer may not hold the next step */
+};
+
+/* numpy's pairwise summation (the order of np.sum on a contiguous float64
+ * array): below 8 terms in sequence from 0.0, up to 128 terms with eight
+ * accumulators, beyond that split at n/2 rounded down to a multiple of 8. */
+static double pairwise_sum(const double *a, int64_t n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (int64_t i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (int k = 0; k < 8; k++)
+            r[k] = a[k];
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (int k = 0; k < 8; k++)
+                r[k] += a[i + k];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+/* new[i] = a[i] * q + a[i - 1] * p over i = 0 .. w, in place. */
+static void lattice_step(double *b, int64_t w, double q, double p)
+{
+    if (w == 0) {
+        b[0] = 0.0;
+        return;
+    }
+    b[w] = b[w - 1] * p;
+    for (int64_t i = w - 1; i >= 1; i--)
+        b[i] = b[i] * q + b[i - 1] * p;
+    b[0] = b[0] * q;
+}
+
+/* Make room for w + 1 cells from buf[*start]; 0 if the buffer is too small. */
+static int make_room(double *buf, int64_t cap, int64_t *start, int64_t w)
+{
+    if (*start + w + 1 <= cap)
+        return 1;
+    if (w + 1 > cap)
+        return 0;
+    memmove(buf, buf + *start, (size_t)w * sizeof(double));
+    *start = 0;
+    return 1;
+}
+
+/* Boundary steps st[0] + 1 .. n_to under the null rate alpha.
+ * h = {hu, hl} are the cumulative hit masses; eps[n - 1] is the budget of
+ * step n; upper, lower, hit_u and hit_l are indexed by n. */
+int seqpval_boundary(double *buf, int64_t cap, int64_t *st, double *h, double alpha,
+                     const double *eps, int64_t n_to, int64_t *upper, int64_t *lower,
+                     double *hit_u, double *hit_l)
+{
+    int64_t n = st[0], start = st[1], w = st[2], off = st[3];
+    double hu = h[0], hl = h[1];
+    const double q = 1.0 - alpha;
+    int rc = SEQPVAL_DONE;
+    while (n < n_to) {
+        if (!make_room(buf, cap, &start, w)) {
+            rc = SEQPVAL_ROOM;
+            break;
+        }
+        const double *b = buf + start;
+        lattice_step(buf + start, w, q, alpha);
+        const double eps_n = eps[n];
+        const int64_t top = off + w;
+        /* minimal j whose upper tail keeps the budget: descend from top + 1 */
+        int64_t j = top + 1;
+        double tail = 0.0;
+        while (j - 1 >= off && tail + b[j - 1 - off] + hu <= eps_n) {
+            tail += b[j - 1 - off];
+            j--;
+        }
+        const int64_t u = j;
+        /* maximal j whose lower tail keeps the budget: ascend from off - 1 */
+        j = off - 1;
+        double ltail = 0.0;
+        while (j + 1 <= top && ltail + b[j + 1 - off] + hl <= eps_n) {
+            ltail += b[j + 1 - off];
+            j++;
+        }
+        const int64_t l = j;
+        if (u <= l) {
+            rc = SEQPVAL_DEGENERATE;
+            break;
+        }
+        hu += tail;
+        hl += ltail;
+        start += l + 1 - off;
+        w = u - l - 1;
+        off = l + 1;
+        n++;
+        upper[n] = u;
+        lower[n] = l;
+        hit_u[n] = hu;
+        hit_l[n] = hl;
+    }
+    st[0] = n;
+    st[1] = start;
+    st[2] = w;
+    st[3] = off;
+    h[0] = hu;
+    h[1] = hl;
+    return rc;
+}
+
+/* Sweep steps st[0] + 1 .. horizon under rate p against fixed boundaries,
+ * where upper[n - 1] and lower[n - 1] are U_n and L_n.  sum_alive accumulates
+ * the alive total of each step.  With rec_n non-NULL, every stopped cell of
+ * positive mass is recorded as (n, j, side, mass) at index *rec_len, which
+ * advances; the kernel returns SEQPVAL_FLUSH before a step whose records
+ * might not fit in rec_cap. */
+int seqpval_sweep(double *buf, int64_t cap, int64_t *st, double *sum_alive, double p,
+                  int64_t horizon, const int64_t *upper, const int64_t *lower,
+                  double alive_floor, int64_t *rec_n, int64_t *rec_j, int8_t *rec_side,
+                  double *rec_mass, int64_t rec_cap, int64_t *rec_len)
+{
+    int64_t n = st[0], start = st[1], w = st[2], off = st[3];
+    int64_t k = rec_n ? *rec_len : 0;
+    double acc = *sum_alive;
+    const double q = 1.0 - p;
+    int rc = SEQPVAL_DONE;
+    while (n < horizon) {
+        if (w == 0) {
+            n = horizon;
+            rc = SEQPVAL_EMPTY;
+            break;
+        }
+        if (!make_room(buf, cap, &start, w)) {
+            rc = SEQPVAL_ROOM;
+            break;
+        }
+        if (rec_n && k + w + 1 > rec_cap) {
+            rc = SEQPVAL_FLUSH;
+            break;
+        }
+        const double *b = buf + start;
+        lattice_step(buf + start, w, q, p);
+        const int64_t m = n + 1;
+        const int64_t u = upper[m - 1], l = lower[m - 1], top = off + w;
+        if (rec_n) {
+            for (int64_t j = u > off ? u : off; j <= top; j++) {
+                if (b[j - off] > 0.0) {
+                    rec_n[k] = m;
+                    rec_j[k] = j;
+                    rec_side[k] = 1;
+                    rec_mass[k] = b[j - off];
+                    k++;
+                }
+            }
+            for (int64_t j = off; j <= (l < top ? l : top); j++) {
+                if (b[j - off] > 0.0) {
+                    rec_n[k] = m;
+                    rec_j[k] = j;
+                    rec_side[k] = -1;
+                    rec_mass[k] = b[j - off];
+                    k++;
+                }
+            }
+        }
+        /* the slice new[max(l + 1 - off, 0) : max(u - off, 0)] of w + 1 cells */
+        int64_t lo = l + 1 - off, hi = u - off;
+        lo = lo < 0 ? 0 : (lo > w + 1 ? w + 1 : lo);
+        hi = hi < lo ? lo : (hi > w + 1 ? w + 1 : hi);
+        start += lo;
+        w = hi - lo;
+        off = l + 1 > off ? l + 1 : off;
+        n = m;
+        const double total = pairwise_sum(buf + start, w);
+        acc += total;
+        if (total <= alive_floor) {
+            rc = SEQPVAL_FLOOR;
+            break;
+        }
+    }
+    st[0] = n;
+    st[1] = start;
+    st[2] = w;
+    st[3] = off;
+    *sum_alive = acc;
+    if (rec_n)
+        *rec_len = k;
+    return rc;
+}

@@ -18,10 +18,12 @@ import io
 import json
 import math
 import os
+import threading
 from fractions import Fraction
 
 import numpy as np
 
+from . import _native
 from .spending import SpendingSequence
 
 FORMAT_VERSION = 1
@@ -62,9 +64,9 @@ def conservation_tolerance(n: int) -> float:
 class BoundaryTable:
     """Boundary arrays plus the alive-state mass needed to extend them.
 
-    Extension is single-writer and in place; a table that will be shared
-    across threads should be fully extended first and then treated as
-    read-only.
+    Extension is in place and may be called from several threads: it runs
+    under the table's lock and publishes ``n_max`` last, so a reader that
+    sees ``n_max >= n`` finds rows 1..n complete in the arrays it reads.
     """
 
     def __init__(self, alpha: float, spending: SpendingSequence):
@@ -86,6 +88,7 @@ class BoundaryTable:
         self._hu = 0.0
         self._hl = 0.0
         self._resumable = True
+        self._lock = threading.Lock()
 
     # -- accessors ---------------------------------------------------------
 
@@ -165,7 +168,8 @@ class BoundaryTable:
             raise BoundaryError(f"step {n} outside computed range 1..{self.n_max}")
 
     def mass_conservation_error(self) -> float:
-        return abs(float(self._alive.sum()) + self._hu + self._hl - 1.0)
+        with self._lock:  # the alive state and hit sums of one step
+            return abs(float(self._alive.sum()) + self._hu + self._hl - 1.0)
 
     def check_conservation(self):
         err = self.mass_conservation_error()
@@ -189,14 +193,32 @@ class BoundaryTable:
             setattr(self, name, arr)
 
     def extend(self, n_target: int) -> "BoundaryTable":
-        """Extend the boundary arrays through step n_target (no-op if shorter)."""
+        """Extend the boundary arrays through step n_target (no-op if shorter).
+
+        Runs the compiled kernel when it is available and the numpy loop
+        otherwise; both give bit-identical tables.
+        """
         if n_target <= self.n_max:
             return self
-        if not self._resumable:
-            raise BoundaryError(
-                "table was loaded without alive-state sidecar and cannot be extended"
-            )
-        self._grow(n_target)
+        with self._lock:
+            if n_target <= self.n_max:
+                return self
+            if not self._resumable:
+                raise BoundaryError(
+                    "table was loaded without alive-state sidecar and cannot be extended"
+                )
+            self._grow(n_target)
+            eps = np.ascontiguousarray(self.spending.values(n_target), dtype=np.float64)
+            kern = _native.kernel()
+            if kern is None:
+                self._extend_numpy(n_target, eps)
+            else:
+                self._extend_kernel(kern, n_target, eps)
+            self.n_max = n_target
+        return self
+
+    def _extend_numpy(self, n_target: int, eps: np.ndarray):
+        """The reference recursion, one numpy step per boundary step."""
         alpha = self.alpha
         alive = self._alive
         off = self._alive_offset
@@ -204,7 +226,6 @@ class BoundaryTable:
         hl = self._hl
         upper, lower = self._upper, self._lower
         hit_u, hit_l = self._hit_upper, self._hit_lower
-        eps = self.spending.values(n_target)
         for n in range(self.n_max + 1, n_target + 1):
             eps_n = eps[n - 1]
             w = alive.size
@@ -241,8 +262,30 @@ class BoundaryTable:
         self._alive_offset = off
         self._hu = hu
         self._hl = hl
-        self.n_max = n_target
-        return self
+
+    def _extend_kernel(self, kern, n_target: int, eps: np.ndarray):
+        """The same recursion in the compiled kernel (``_kernel.c``)."""
+        f64, i64, ptr = np.float64, np.int64, _native.ptr
+        # the kernel writes through these; hold them for the whole call
+        upper, lower = self._upper, self._lower
+        hit_u, hit_l = self._hit_upper, self._hit_lower
+        buf, st = _native.work_buffer(self._alive, self.n_max, self._alive_offset)
+        h = np.array([self._hu, self._hl])
+        while True:
+            rc = kern.seqpval_boundary(
+                ptr(buf, f64), buf.size, ptr(st, i64), ptr(h, f64), self.alpha, ptr(eps, f64),
+                int(n_target), ptr(upper, i64), ptr(lower, i64), ptr(hit_u, f64), ptr(hit_l, f64),
+            )
+            if rc != _native.ROOM:
+                break
+            buf = _native.regrow(buf, st)
+        if rc == _native.DEGENERATE:
+            raise DegenerateBoundaryError(int(st[0]) + 1)
+        _, start, w, off = st.tolist()
+        self._alive = buf[start : start + w]
+        self._alive_offset = off
+        self._hu = float(h[0])
+        self._hl = float(h[1])
 
     # -- persistence -------------------------------------------------------
 

@@ -160,6 +160,9 @@ def _curve_rows(args, table, ps, want_risk: bool):
     for p in ps:
         if want_risk:
             rb = resampling_risk(table, p, args.horizon)
+            if not rb.certified:
+                print(f"warning: risk bracket at p={float(p)!r} not certified: residual "
+                      f"{rb.residual:.3g} at horizon {rb.horizon}", file=sys.stderr)
             et, _ = expected_stop_time(table, p, args.horizon)
             residual = rb.residual
             rr_lo, rr_hi = rb.lower, rb.upper

@@ -19,6 +19,7 @@ import numpy as np
 from scipy import stats
 from scipy.special import xlog1py, xlogy
 
+from . import _native
 from .boundary import BoundaryTable
 from .runner import LOWER, STOPPED, UPPER, RunResult, interim_interval
 
@@ -58,10 +59,15 @@ def _sweep(
 
     Returns the final state; `outcomes` (if given) receives tuples
     (n, j, side, mass).  When the total alive mass drops to `alive_floor` the
-    sweep exits early (the state's n records how far it got).
+    sweep exits early (the state's n records how far it got).  Runs the
+    compiled kernel when it is available and the numpy loop otherwise; both
+    give bit-identical states and records.
     """
     table.extend(horizon)
     st = state if state is not None else _initial_state(p)
+    kern = _native.kernel() if horizon > st.n else None
+    if kern is not None:
+        return _sweep_kernel(kern, table, p, horizon, st, alive_floor, outcomes)
     alive = st.alive
     off = st.offset
     for n in range(st.n + 1, horizon + 1):
@@ -98,6 +104,50 @@ def _sweep(
             return st
     st.alive = alive.copy() if alive.base is not None else alive
     st.offset = off
+    return st
+
+
+#: stop records the kernel may write before Python empties its buffer
+_RECORD_BUFFER = 4096
+
+
+def _sweep_kernel(kern, table, p, horizon, st, alive_floor, outcomes):
+    """`_sweep` in the compiled kernel (``_kernel.c``)."""
+    f64, i64, ptr = np.float64, np.int64, _native.ptr
+    # views of U_1..U_horizon and L_1..L_horizon; they keep their arrays
+    # alive for the whole call even if another thread grows the table
+    upper, lower = table.upper_array(horizon), table.lower_array(horizon)
+    buf, state = _native.work_buffer(st.alive, st.n, st.offset)
+    acc = np.array([st.sum_alive])
+    records = None  # stop-record buffers: n, j, side, mass, and their fill
+    record_args = (None, None, None, None, 0, None)  # NULL: record nothing
+    while True:
+        if outcomes is not None and (records is None or records[0].size < buf.size):
+            # a step records at most w + 1 <= buf.size cells
+            cap = max(_RECORD_BUFFER, buf.size)
+            records = (np.empty(cap, i64), np.empty(cap, i64), np.empty(cap, np.int8),
+                       np.empty(cap, f64), np.zeros(1, i64))
+            rn, rj, rs, rm, fill = records
+            record_args = (ptr(rn, i64), ptr(rj, i64), ptr(rs, np.int8), ptr(rm, f64), cap,
+                           ptr(fill, i64))
+        rc = kern.seqpval_sweep(
+            ptr(buf, f64), buf.size, ptr(state, i64), ptr(acc, f64), float(p), int(horizon),
+            ptr(upper, i64), ptr(lower, i64), float(alive_floor), *record_args,
+        )
+        if records is not None and fill[0]:
+            k = int(fill[0])
+            # the same tuples as the numpy loop: ints and an np.float64 mass
+            outcomes.extend(zip(rn[:k].tolist(), rj[:k].tolist(), rs[:k].tolist(), rm[:k]))
+            fill[0] = 0
+        if rc == _native.ROOM:
+            buf = _native.regrow(buf, state)
+        elif rc != _native.FLUSH:
+            break
+    n, start, w, off = state.tolist()
+    st.n = n
+    st.alive = buf[start : start + w].copy()
+    st.offset = off
+    st.sum_alive = float(acc[0])
     return st
 
 
@@ -159,13 +209,18 @@ def outcome_distribution(table: BoundaryTable, p: float, horizon: int) -> Outcom
 
 @dataclass(frozen=True)
 class RiskBound:
-    """Certified bracket for the resampling risk at p."""
+    """Bracket for the resampling risk at p.
+
+    The true risk lies in [lower, upper] whatever the residual; `certified`
+    says whether the residual undercut the target the caller asked for.
+    """
 
     p: float
     lower: float
     upper: float
     horizon: int
     residual: float
+    certified: bool
 
 
 def resampling_risk(
@@ -197,7 +252,8 @@ def resampling_risk(
         if at_alpha or not auto_extend or residual <= target_residual or h >= max_horizon:
             break
         h = min(2 * h, max_horizon)
-    return RiskBound(p=p, lower=wrong, upper=wrong + residual, horizon=st.n, residual=residual)
+    return RiskBound(p=p, lower=wrong, upper=wrong + residual, horizon=st.n, residual=residual,
+                     certified=residual <= target_residual)
 
 
 def expected_stop_time(table: BoundaryTable, p: float, horizon: int) -> tuple[float, float]:

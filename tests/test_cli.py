@@ -123,12 +123,22 @@ def test_risk_naive_anchor_row():
 
 
 def test_risk_curve_bounded_by_epsilon():
-    code, out, _ = invoke(["risk", "--p", "0.2,0.5,0.9", "--horizon", "2000"])
+    code, out, err = invoke(["risk", "--p", "0.2,0.5,0.9", "--horizon", "2000"])
     assert code == EXIT_OK
+    assert err == ""  # every row certified
     for line in out.splitlines()[1:]:
         p, rr_lo, rr_hi, e_tau, residual, wald = (float(x) for x in line.split(","))
         assert rr_hi <= 1e-3 + residual + 1e-12
         assert e_tau >= 1.0
+
+
+def test_risk_warns_on_uncertified_rows():
+    # at p = alpha the horizon never doubles, so the bracket stays uncertified
+    code, out, err = invoke(["risk", "--p", "0.05,0.2", "--horizon", "2000"])
+    assert code == EXIT_OK
+    assert len(out.splitlines()) == 3 and "warning" not in out
+    (line,) = err.splitlines()
+    assert line.startswith("warning: risk bracket at p=0.05 not certified")
 
 
 def test_risk_p_one_row():

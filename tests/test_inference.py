@@ -118,6 +118,7 @@ def test_resampling_risk_bracket(default_table):
     assert 0.0 <= rb.lower <= rb.upper
     assert rb.upper <= 1e-3 + 1e-6
     assert rb.residual <= 1e-8
+    assert rb.certified
     assert rb.upper - rb.lower == pytest.approx(rb.residual, abs=1e-15)
 
 
@@ -133,6 +134,11 @@ def test_risk_at_threshold_reports_residual(default_table):
     # no doubling at p = alpha: the residual mass does not vanish there
     assert rb.horizon <= 5000
     assert rb.residual > 0.1
+    assert not rb.certified
+    # near alpha the doubling stops at its cap, uncertified
+    capped = resampling_risk(default_table, 0.0508, horizon=1000, max_horizon=4000)
+    assert capped.horizon == 4000
+    assert capped.residual > 1e-8 and not capped.certified
 
 
 def test_wald_lower_bound_arithmetic():

@@ -1,0 +1,257 @@
+"""The compiled corridor kernel against the numpy reference loops.
+
+Both paths must give bit-identical tables, sweep states and stop records, so
+every comparison here is exact (``==``).  The numpy path is forced
+in-process by clearing the loader's cached handle.
+"""
+
+import os
+import subprocess
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from seqpval import _native, inference
+from seqpval.boundary import BoundaryTable, DegenerateBoundaryError
+from seqpval.spending import SpendingSequence
+
+TABLE_FIELDS = ("_upper", "_lower", "_hit_upper", "_hit_lower", "_alive")
+STATE_FIELDS = ("n_max", "_alive_offset", "_hu", "_hl")
+
+
+@pytest.fixture
+def kernel():
+    lib = _native.kernel()
+    if lib is None:
+        pytest.skip("no C compiler or cache directory: only the numpy path runs here")
+    return lib
+
+
+def numpy_path(fn, *args, **kwargs):
+    saved = _native._lib
+    _native._lib = None
+    try:
+        return fn(*args, **kwargs)
+    finally:
+        _native._lib = saved
+
+
+def assert_tables_equal(a: BoundaryTable, b: BoundaryTable):
+    for name in STATE_FIELDS:
+        assert getattr(a, name) == getattr(b, name), name
+    n = a.n_max + 1
+    for name in TABLE_FIELDS:
+        x, y = getattr(a, name), getattr(b, name)
+        if name != "_alive":
+            x, y = x[:n], y[:n]
+        assert x.shape == y.shape and np.all(x == y), name
+
+
+def grow(table: BoundaryTable, targets) -> BoundaryTable:
+    for n in targets:
+        table.extend(n)
+    return table
+
+
+@pytest.mark.parametrize(
+    "alpha, epsilon, k", [(0.05, 1e-3, 1000), (0.1, 1e-2, 100), (0.01, 1e-3, 1000)]
+)
+def test_extend_matches_numpy(kernel, alpha, epsilon, k):
+    def build():
+        return BoundaryTable(alpha, SpendingSequence.default(epsilon, k)).extend(200_000)
+
+    assert_tables_equal(build(), numpy_path(build))
+
+
+def test_extend_custom_spending_in_uneven_chunks(kernel):
+    n = np.arange(1, 30_001)
+    seq = SpendingSequence.custom(1e-2, 1e-2 * (1.0 - np.exp(-n / 700.0)) * 0.999)
+    chunks = [1, 2, 3, 50, 51, 1024, 1025, 4097, 12_345, 30_000]
+    a = grow(BoundaryTable(0.2, seq), chunks)
+    b = numpy_path(grow, BoundaryTable(0.2, seq), chunks)
+    assert_tables_equal(a, b)
+    assert_tables_equal(a, BoundaryTable(0.2, seq).extend(30_000))
+
+
+class _Collapsing:
+    """A budget schedule no SpendingSequence admits: eps_n = 0.9 from step 40
+    on, so both tails may take more than half the mass and the corridor
+    collapses."""
+
+    def values(self, n):
+        idx = np.arange(1, n + 1, dtype=float)
+        return np.where(idx < 40, 1e-3 * idx / (1000.0 + idx), 0.9)
+
+
+def test_extend_degenerate_step_matches(kernel):
+    def build():
+        table = BoundaryTable(0.3, _Collapsing()).extend(10)
+        with pytest.raises(DegenerateBoundaryError) as err:
+            table.extend(100)
+        return table, err.value.n
+
+    (a, step_a), (b, step_b) = build(), numpy_path(build)
+    assert step_a == step_b == 40
+    # the failed call publishes nothing, but the rows it wrote agree too
+    assert a.n_max == 10
+    assert_tables_equal(a, b)
+    for name in TABLE_FIELDS[:4]:
+        assert np.all(getattr(a, name)[:40] == getattr(b, name)[:40]), name
+
+
+def sweep_both(table, p, horizon, *, state=None, alive_floor=0.0, record=True):
+    out = []
+    for path in (lambda f, *a, **k: f(*a, **k), numpy_path):
+        recs = [] if record else None
+        st = None if state is None else inference._SweepState(
+            state.n, state.alive.copy(), state.offset, state.sum_alive)
+        st = path(inference._sweep, table, p, horizon, state=st, alive_floor=alive_floor,
+                  outcomes=recs)
+        out.append((st, recs))
+    (sa, ra), (sb, rb) = out
+    assert (sa.n, sa.offset, sa.sum_alive) == (sb.n, sb.offset, sb.sum_alive)
+    assert sa.alive.shape == sb.alive.shape and np.all(sa.alive == sb.alive)
+    assert inference._alive_total(sa) == inference._alive_total(sb)
+    assert ra == rb
+    if ra:
+        assert [type(x) for x in ra[0]] == [type(x) for x in rb[0]]
+    return sa, ra
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-3, 0.03, 0.05, 0.0508, 0.3, 1.0])
+def test_sweep_matches_numpy(kernel, default_table, p):
+    st, recs = sweep_both(default_table, p, 20_000)
+    assert st.n <= 20_000
+    sweep_both(default_table, p, 20_000, record=False)
+    # the floor exit of resampling_risk
+    floor_st, _ = sweep_both(default_table, p, 20_000, alive_floor=1e-9)
+    assert floor_st.n <= st.n
+
+
+def test_sweep_resumes_from_state(kernel, default_table):
+    # resampling_risk's doubling: resume a state that stopped at a horizon
+    for p in (0.03, 0.0508):
+        st, _ = sweep_both(default_table, p, 2_500)
+        for h in (5_000, 10_000, 20_000):
+            st, _ = sweep_both(default_table, p, h, state=st)
+    # and one that stopped on the floor
+    st, _ = sweep_both(default_table, 0.03, 20_000, alive_floor=1e-4)
+    assert st.n < 20_000
+    sweep_both(default_table, 0.03, 20_000, state=st, alive_floor=1e-9)
+
+
+def test_sweep_step_totals_match(kernel, default_table):
+    # one step at a time from a zero sum: sum_alive is then that step's alive
+    # total, which the kernel must add up in numpy's pairwise order (the
+    # corridor passes 8 and 128 cells on the way)
+    st = inference._initial_state(0.0508)
+    for steps in (range(2, 601), range(12_000, 12_301)):
+        for n in steps:
+            st.sum_alive = 0.0
+            st, _ = sweep_both(default_table, 0.0508, n, state=st)
+    assert st.alive.size > 128
+
+
+def test_sweep_record_buffer_refills(kernel, default_table, monkeypatch):
+    # the smallest record buffer the caller allows: one step's worth
+    monkeypatch.setattr(inference, "_RECORD_BUFFER", 1)
+    _, recs = sweep_both(default_table, 0.045, 6_000)
+    assert len(recs) > 4_096
+    risk = resampling_risk_both(default_table, 0.0508, 1_000, max_horizon=8_000)
+    assert not risk.certified
+
+
+def resampling_risk_both(table, p, horizon, **kwargs):
+    a = inference.resampling_risk(table, p, horizon, **kwargs)
+    b = numpy_path(inference.resampling_risk, table, p, horizon, **kwargs)
+    assert a == b
+    return a
+
+
+@pytest.mark.parametrize("kernel_on", [True, False])
+def test_concurrent_extension_matches_serial(kernel_on):
+    target = 60_000
+    serial = BoundaryTable(0.05, SpendingSequence.default(1e-3, 1000))
+    shared = BoundaryTable(0.05, SpendingSequence.default(1e-3, 1000))
+    errors = []
+    start = threading.Barrier(4)
+
+    def worker(chunk):
+        try:
+            start.wait(timeout=30)
+            for n in range(chunk, target + 1, chunk):
+                shared.extend(n)
+                # rows 1..n are complete once extend returns
+                assert shared.upper(n) > n * shared.alpha > shared.lower(n)
+            shared.extend(target)
+        except Exception as exc:  # noqa: BLE001 - reported by the main thread
+            errors.append(exc)
+
+    def run():
+        serial.extend(target)
+        threads = [threading.Thread(target=worker, args=(c,)) for c in (997, 1500, 4096, 7919)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+
+    run() if kernel_on else numpy_path(run)
+    assert not errors, errors
+    assert_tables_equal(shared, serial)
+    shared.check_conservation()
+
+
+FALLBACK_SCRIPT = """
+import sys
+from seqpval.cli import main
+for argv in (["boundaries", "--n", "20000"], ["run", "--simulate-p", "0.2", "--seed", "7"],
+             ["risk", "--p", "0.01,0.03,0.075,0.3"], ["etau", "--p", "0.02,0.2"]):
+    sys.stdout.write(f"== {argv} exit {main(argv)}\\n")
+"""
+
+
+def test_cli_falls_back_silently_without_compiler(tmp_path):
+    def cli(cache, **env):
+        cache.mkdir()
+        full = {**os.environ, "XDG_CACHE_HOME": str(cache), **env}
+        out = subprocess.run([sys.executable, "-c", FALLBACK_SCRIPT], env=full,
+                             capture_output=True, timeout=600)
+        assert out.returncode == 0, out.stderr
+        return out
+
+    fast = cli(tmp_path / "kernel")
+    slow = cli(tmp_path / "fallback", CC="false")
+    assert slow.stderr == fast.stderr == b""
+    assert slow.stdout == fast.stdout
+    assert slow.stdout.count(b"exit 0") == 4
+    assert not list((tmp_path / "fallback").rglob("*.so"))
+    if _native.kernel() is not None:
+        assert list((tmp_path / "kernel").rglob("kernel-*.so"))
+
+
+def test_import_compiles_nothing(tmp_path):
+    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path)}
+    code = "import seqpval, seqpval._native as n; assert n._lib is n._UNSET"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+    assert not list(tmp_path.iterdir())
+
+
+def test_loader_declines_unusable_cache(tmp_path, monkeypatch):
+    cache = tmp_path / "seqpval"
+    cache.mkdir()
+    os.chmod(cache, 0o777)  # writable by others: never trusted
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert _native._load() is None
+    assert not list(cache.iterdir())
+    blocked = tmp_path / "not-a-directory"
+    blocked.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocked))
+    assert _native._load() is None

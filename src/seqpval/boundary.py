@@ -79,6 +79,7 @@ class BoundaryTable:
         self._lower = np.zeros(cap, dtype=np.int64)
         self._hit_upper = np.zeros(cap)
         self._hit_lower = np.zeros(cap)
+        self._eps = np.zeros(cap)  # eps_n at index n, for each step extend computed
         # seed state after step 1: U_1 = 2, L_1 = -1, S_1 ~ Bernoulli(alpha)
         self._upper[1] = 2
         self._lower[1] = -1
@@ -186,7 +187,7 @@ class BoundaryTable:
         if n_target + 1 <= cap:
             return
         new_cap = max(cap * 2, n_target + 1)
-        for name in ("_upper", "_lower", "_hit_upper", "_hit_lower"):
+        for name in ("_upper", "_lower", "_hit_upper", "_hit_lower", "_eps"):
             old = getattr(self, name)
             arr = np.zeros(new_cap, dtype=old.dtype)
             arr[: old.size] = old
@@ -208,7 +209,9 @@ class BoundaryTable:
                     "table was loaded without alive-state sidecar and cannot be extended"
                 )
             self._grow(n_target)
-            eps = np.ascontiguousarray(self.spending.values(n_target), dtype=np.float64)
+            self._eps[self.n_max + 1 : n_target + 1] = self.spending.values(
+                n_target, start=self.n_max + 1)
+            eps = self._eps[1:]  # eps[n - 1] is the budget of step n
             kern = _native.kernel()
             if kern is None:
                 self._extend_numpy(n_target, eps)

@@ -32,7 +32,6 @@ from .applications import (
 )
 from .boundary import BoundaryTable
 from .inference import (
-    StoppingCounts,
     confidence_interval,
     expected_stop_time,
     naive_risk,

@@ -12,11 +12,11 @@ fall either way.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats
 from scipy.special import xlog1py, xlogy
 
 from . import _native
@@ -40,11 +40,16 @@ class _SweepState:
     alive: np.ndarray
     offset: int
     sum_alive: float = 0.0  # sum over completed steps of total alive mass
+    stops: tuple | None = None  # the last recording call's arrays n, j, side, mass
 
 
 def _initial_state(p: float) -> _SweepState:
     # after step 1 no stop is possible (U_1 = 2, L_1 = -1)
     return _SweepState(n=1, alive=np.array([1.0 - p, p]), offset=0, sum_alive=1.0)
+
+
+#: dtypes of the stop-record arrays n, j, side, mass
+_STOP_DTYPES = (np.int64, np.int64, np.int8, np.float64)
 
 
 def _sweep(
@@ -53,21 +58,23 @@ def _sweep(
     horizon: int,
     state: _SweepState | None = None,
     alive_floor: float = 0.0,
-    outcomes: list | None = None,
+    record: bool = False,
 ):
     """Advance the alive-mass recursion to `horizon`, collecting stop events.
 
-    Returns the final state; `outcomes` (if given) receives tuples
-    (n, j, side, mass).  When the total alive mass drops to `alive_floor` the
-    sweep exits early (the state's n records how far it got).  Runs the
-    compiled kernel when it is available and the numpy loop otherwise; both
-    give bit-identical states and records.
+    Returns the final state.  With `record`, its `stops` holds the stopped
+    cells of positive mass this call passed, as arrays (n, j, side, mass) in
+    step order, upper cells before lower ones within a step.  When the total
+    alive mass drops to `alive_floor` the sweep exits early (the state's n
+    records how far it got).  Runs the compiled kernel when it is available
+    and the numpy loop otherwise; both give bit-identical states and records.
     """
     table.extend(horizon)
     st = state if state is not None else _initial_state(p)
     kern = _native.kernel() if horizon > st.n else None
     if kern is not None:
-        return _sweep_kernel(kern, table, p, horizon, st, alive_floor, outcomes)
+        return _sweep_kernel(kern, table, p, horizon, st, alive_floor, record)
+    recs = []
     alive = st.alive
     off = st.offset
     for n in range(st.n + 1, horizon + 1):
@@ -82,36 +89,32 @@ def _sweep(
         u_n = table.upper(n)
         l_n = table.lower(n)
         top = off + w
-        if u_n <= top and outcomes is not None:
-            for j in range(max(u_n, off), top + 1):
-                mass = new[j - off]
-                if mass > 0.0:
-                    outcomes.append((n, j, SIDE_UPPER, mass))
-        if l_n >= off and outcomes is not None:
-            for j in range(off, min(l_n, top) + 1):
-                mass = new[j - off]
-                if mass > 0.0:
-                    outcomes.append((n, j, SIDE_LOWER, mass))
+        if record:
+            for side, lo, hi in ((SIDE_UPPER, max(u_n, off), top),
+                                 (SIDE_LOWER, off, min(l_n, top))):
+                for j in range(lo, hi + 1):
+                    mass = new[j - off]
+                    if mass > 0.0:
+                        recs.append((n, j, side, mass))
         alive = new[max(l_n + 1 - off, 0) : max(u_n - off, 0)]
         off = max(l_n + 1, off)
         st.n = n
         total = float(alive.sum())
         st.sum_alive += total
         if total <= alive_floor:
-            alive = alive.copy()
-            st.alive = alive
-            st.offset = off
-            return st
+            break
     st.alive = alive.copy() if alive.base is not None else alive
     st.offset = off
+    rows = np.array(recs, dtype=object).reshape(-1, 4)
+    st.stops = tuple(rows[:, i].astype(d) for i, d in enumerate(_STOP_DTYPES)) if record else None
     return st
 
 
-#: stop records the kernel may write before Python empties its buffer
+#: stop records the kernel may write before its buffers must grow
 _RECORD_BUFFER = 4096
 
 
-def _sweep_kernel(kern, table, p, horizon, st, alive_floor, outcomes):
+def _sweep_kernel(kern, table, p, horizon, st, alive_floor, record):
     """`_sweep` in the compiled kernel (``_kernel.c``)."""
     f64, i64, ptr = np.float64, np.int64, _native.ptr
     # views of U_1..U_horizon and L_1..L_horizon; they keep their arrays
@@ -119,35 +122,28 @@ def _sweep_kernel(kern, table, p, horizon, st, alive_floor, outcomes):
     upper, lower = table.upper_array(horizon), table.lower_array(horizon)
     buf, state = _native.work_buffer(st.alive, st.n, st.offset)
     acc = np.array([st.sum_alive])
-    records = None  # stop-record buffers: n, j, side, mass, and their fill
-    record_args = (None, None, None, None, 0, None)  # NULL: record nothing
+    fill = np.zeros(1, i64)
+    recs = tuple(np.empty(_RECORD_BUFFER, d) for d in _STOP_DTYPES) if record else None
     while True:
-        if outcomes is not None and (records is None or records[0].size < buf.size):
-            # a step records at most w + 1 <= buf.size cells
-            cap = max(_RECORD_BUFFER, buf.size)
-            records = (np.empty(cap, i64), np.empty(cap, i64), np.empty(cap, np.int8),
-                       np.empty(cap, f64), np.zeros(1, i64))
-            rn, rj, rs, rm, fill = records
-            record_args = (ptr(rn, i64), ptr(rj, i64), ptr(rs, np.int8), ptr(rm, f64), cap,
-                           ptr(fill, i64))
+        record_args = ((*map(ptr, recs, _STOP_DTYPES), recs[0].size, ptr(fill, i64)) if record
+                       else (None, None, None, None, 0, None))  # NULL: record nothing
         rc = kern.seqpval_sweep(
             ptr(buf, f64), buf.size, ptr(state, i64), ptr(acc, f64), float(p), int(horizon),
             ptr(upper, i64), ptr(lower, i64), float(alive_floor), *record_args,
         )
-        if records is not None and fill[0]:
-            k = int(fill[0])
-            # the same tuples as the numpy loop: ints and an np.float64 mass
-            outcomes.extend(zip(rn[:k].tolist(), rj[:k].tolist(), rs[:k].tolist(), rm[:k]))
-            fill[0] = 0
         if rc == _native.ROOM:
             buf = _native.regrow(buf, state)
-        elif rc != _native.FLUSH:
+        elif rc == _native.FLUSH:
+            # grow, keeping the records; a step records at most w + 1 <= buf.size cells
+            recs = tuple(np.resize(a, max(2 * a.size, int(fill[0]) + buf.size)) for a in recs)
+        else:
             break
     n, start, w, off = state.tolist()
     st.n = n
     st.alive = buf[start : start + w].copy()
     st.offset = off
     st.sum_alive = float(acc[0])
+    st.stops = tuple(a[: int(fill[0])].copy() for a in recs) if record else None
     return st
 
 
@@ -196,12 +192,8 @@ def outcome_distribution(table: BoundaryTable, p: float, horizon: int) -> Outcom
         raise ValueError(f"p must be in [0, 1], got {p}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    recs: list = []
-    st = _sweep(table, p, horizon, outcomes=recs)
-    tau = np.array([r[0] for r in recs], dtype=np.int64)
-    s = np.array([r[1] for r in recs], dtype=np.int64)
-    side = np.array([r[2] for r in recs], dtype=np.int8)
-    prob = np.array([r[3] for r in recs])
+    st = _sweep(table, p, horizon, record=True)
+    tau, s, side, prob = st.stops
     return OutcomeDistribution(
         p=p, horizon=horizon, tau=tau, s=s, side=side, prob=prob, residual=_alive_total(st)
     )
@@ -245,9 +237,11 @@ def resampling_risk(
     st = _initial_state(p)
     wrong = 0.0
     while True:
-        recs: list = []
-        st = _sweep(table, p, h, state=st, alive_floor=target_residual / 10.0, outcomes=recs)
-        wrong += sum(r[3] for r in recs if r[2] == wrong_side)
+        st = _sweep(table, p, h, state=st, alive_floor=target_residual / 10.0, record=True)
+        mass = st.stops[3][st.stops[2] == wrong_side]
+        if mass.size:
+            # in sequence, as the last partial sum (np.sum would sum pairwise)
+            wrong += float(np.cumsum(mass)[-1])
         residual = _alive_total(st)
         if at_alpha or not auto_extend or residual <= target_residual or h >= max_horizon:
             break
@@ -279,6 +273,8 @@ def naive_risk(p: float, n: int, alpha: float) -> float:
     """Resampling risk of the fixed-n estimator S_n/n against threshold alpha."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    from scipy import stats  # most of the package's import time; import on use
+
     c = math.floor(n * alpha)
     if p > alpha:
         return float(stats.binom.cdf(c, n, p))
@@ -309,58 +305,39 @@ class StoppingCounts:
 
     Any path stopping at (tau=n, S=j) has probability p^j (1-p)^(n-j), so the
     stopped law under every p is determined by the (p-free) number of lattice
-    paths to each stop.  The counts obey Pascal's recursion restricted to the
-    alive corridor and are propagated in log space (their dynamic range far
-    exceeds floats), letting G(p)-type quantities needed by the
-    confidence-interval root finder be evaluated in one vectorized pass.
+    paths to each stop, which lets G(p)-type quantities needed by the
+    confidence-interval root finder be evaluated in one vectorized pass.  The
+    counts come from the null sweep, which `extend` resumes: a stop's null
+    mass m = N alpha^j (1-alpha)^(n-j) gives log N.  Where a stop's null mass
+    underflows its count is lost, and `extend` raises FloatingPointError.
     """
 
     def __init__(self, table: BoundaryTable, horizon: int):
         self.table = table
-        # N(1, 0) = N(1, 1) = 1; no stop is possible at n = 1
-        self._logn = np.zeros(2)
-        self._offset = 0
-        self._n = 1
-        self._recs: list = []
-        self.tau = self.s = self.side = self.log_count = None
+        self._state = _initial_state(table.alpha)
+        self.tau, self.s, self.side, self.log_count = (np.empty(0, d) for d in _STOP_DTYPES)
         self.horizon = 0
         self.extend(horizon)
 
     def extend(self, horizon: int) -> "StoppingCounts":
         if horizon <= self.horizon:
             return self
-        self.table.extend(horizon)
-        logn = self._logn
-        off = self._offset
-        recs = self._recs
-        for n in range(self._n + 1, horizon + 1):
-            w = logn.size
-            if w == 0:
-                break
-            new = np.empty(w + 1)
-            new[0] = logn[0]
-            new[w] = logn[w - 1]
-            if w > 1:
-                np.logaddexp(logn[1:], logn[:-1], out=new[1:w])
-            u_n = self.table.upper(n)
-            l_n = self.table.lower(n)
-            top = off + w
-            for j in range(max(u_n, off), top + 1):
-                recs.append((n, j, SIDE_UPPER, new[j - off]))
-            for j in range(off, min(l_n, top) + 1):
-                recs.append((n, j, SIDE_LOWER, new[j - off]))
-            logn = new[max(l_n + 1 - off, 0) : max(u_n - off, 0)]
-            off = max(l_n + 1, off)
-            self._n = n
-        self._logn = logn.copy() if logn.base is not None else logn
-        self._offset = off
-        self.horizon = horizon
-        self.tau = np.array([r[0] for r in recs], dtype=np.int64)
-        self.s = np.array([r[1] for r in recs], dtype=np.int64)
-        self.side = np.array([r[2] for r in recs], dtype=np.int8)
-        self.log_count = np.array([r[3] for r in recs])
+        alpha = self.table.alpha
+        first = self._state.n
+        # sweep a copy: the state moves on only once the records pass the check
+        st = _sweep(self.table, alpha, horizon, state=replace(self._state), record=True)
+        tau, s, side, mass = st.stops
+        _check_null_masses(self.table, first, st.n, tau, mass)
+        st.stops = None
+        self._state = st
+        log_count = np.log(mass) - s * math.log(alpha) - (tau - s) * math.log1p(-alpha)
+        self.tau = np.concatenate([self.tau, tau])
+        self.s = np.concatenate([self.s, s])
+        self.side = np.concatenate([self.side, side])
+        self.log_count = np.concatenate([self.log_count, log_count])
         self._s_f = self.s.astype(float)
         self._f_f = (self.tau - self.s).astype(float)
+        self.horizon = horizon
         return self
 
     def masses(self, p: float) -> np.ndarray:
@@ -383,6 +360,22 @@ class StoppingCounts:
 
     def estimate_le_mask(self, num: int, den: int) -> np.ndarray:
         return (self.s * den <= self.tau * num).astype(float)
+
+
+def _check_null_masses(table, first, last, tau, mass):
+    """Raise unless the null sweep of steps first+1..last recorded every stop
+    cell (at step n: U_n..U_{n-1} and L_{n-1}+1..L_n) with a normal mass."""
+    upper = table.upper_array(last)[first - 1 :]  # U_first .. U_last
+    lower = table.lower_array(last)[first - 1 :]
+    cells = np.maximum(upper[:-1] - upper[1:] + 1, 0) + np.maximum(lower[1:] - lower[:-1], 0)
+    recorded = np.bincount(tau - (first + 1), minlength=last - first)
+    bad = np.concatenate([first + 1 + np.flatnonzero(recorded != cells),
+                          tau[mass < np.finfo(np.float64).tiny]])
+    if bad.size:
+        raise FloatingPointError(
+            f"the null mass of a stop cell at step {int(bad.min())} underflows, so its path "
+            f"count cannot be derived from the null sweep"
+        )
 
 
 # -- confidence intervals --------------------------------------------------
@@ -445,6 +438,9 @@ def _certified_root(
     in [mass, mass + residual].  The two adversarial allocations of the
     residual give an enclosure of the true root.
     """
+
+    # both bisections start from 0 and 1 and share midpoints until they part
+    g_stopped = functools.cache(g_stopped)
 
     def g_lo(p):
         m, _ = g_stopped(p)
@@ -548,22 +544,23 @@ def confidence_interval_running(
     p_min, p_max = interim_interval(table, n)
     cts = counts if counts is not None else StoppingCounts(table, horizon)
     target = beta / 2.0
+
+    def g_hi(mask):
+        def g(p):
+            mass, residual = cts.event_mass(p, mask)
+            return residual + mass
+        return g
+
     if p_min <= 0.0:
         p_low = 0.0
     else:
         ge = (cts.s >= p_min * cts.tau).astype(float)
-        p_low = _bisect_mono(
-            lambda p: cts.event_mass(p, ge)[1] + cts.event_mass(p, ge)[0], target, 0.0, 1.0,
-            True, tol,
-        )
+        p_low = _bisect_mono(g_hi(ge), target, 0.0, 1.0, True, tol)
     if p_max >= 1.0:
         p_high = 1.0
     else:
         le = (cts.s <= p_max * cts.tau).astype(float)
-        p_high = _bisect_mono(
-            lambda p: cts.event_mass(p, le)[1] + cts.event_mass(p, le)[0], target, 0.0, 1.0,
-            False, tol,
-        )
+        p_high = _bisect_mono(g_hi(le), target, 0.0, 1.0, False, tol)
     return (p_low, p_high)
 
 

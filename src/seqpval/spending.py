@@ -75,18 +75,18 @@ class SpendingSequence:
             )
         return float(self.table[n - 1])
 
-    def values(self, n: int) -> np.ndarray:
-        """Vector of (eps_1, ..., eps_n)."""
-        if n < 1:
-            raise SpendingError(f"step index must be >= 1, got {n}")
+    def values(self, n: int, start: int = 1) -> np.ndarray:
+        """Vector of (eps_start, ..., eps_n)."""
+        if not 1 <= start <= n:
+            raise SpendingError(f"step range must satisfy 1 <= start <= n, got {start}..{n}")
         if self.k is not None:
-            idx = np.arange(1, n + 1, dtype=float)
+            idx = np.arange(start, n + 1, dtype=float)
             return self.epsilon * idx / (self.k + idx)
         if n > self.table.size:
             raise SpendingError(
                 f"custom spending table has {self.table.size} entries, step {n} requested"
             )
-        return self.table[:n].copy()
+        return self.table[start - 1 : n].copy()
 
     def increment(self, n: int) -> float:
         """eps_n - eps_{n-1}, with eps_0 = 0."""

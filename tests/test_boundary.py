@@ -1,5 +1,6 @@
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,16 +25,32 @@ def test_seed_row(default_table):
 @pytest.mark.parametrize("alpha", [0.05, 0.1])
 @pytest.mark.parametrize("epsilon", [1e-3, 1e-2])
 def test_matches_exact_rational_oracle(alpha, epsilon):
-    table = compute_table(alpha, epsilon, k=1000, n=20)
-    up, lo = exact_boundaries(alpha, epsilon, k=1000, n_max=20)
-    for n in range(1, 21):
+    # past the first lower absorption (n = 70 to 173 here), so L_n and the
+    # lower hit mass are checked too
+    table = compute_table(alpha, epsilon, k=1000, n=400)
+    up, lo = exact_boundaries(alpha, epsilon, k=1000, n_max=400)
+    assert max(lo) >= 0
+    for n in range(1, 401):
         assert table.upper(n) == up[n - 1], f"U_{n} mismatch"
         assert table.lower(n) == lo[n - 1], f"L_{n} mismatch"
+    # the hit masses in exact arithmetic along those boundaries
+    a = Fraction(alpha).limit_denominator(10**9)
+    alive = {0: 1 - a, 1: a}
+    hu = hl = Fraction(0)
+    for n in range(2, 401):
+        new = {}
+        for j, m in alive.items():
+            new[j] = new.get(j, 0) + m * (1 - a)
+            new[j + 1] = new.get(j + 1, 0) + m * a
+        hu += sum(m for j, m in new.items() if j >= up[n - 1])
+        hl += sum(m for j, m in new.items() if j <= lo[n - 1])
+        alive = {j: m for j, m in new.items() if lo[n - 1] < j < up[n - 1]}
+    assert hl > 0
+    assert table.hit_lower_cum(400) == pytest.approx(float(hl), rel=1e-12)
+    assert table.hit_upper_cum(400) == pytest.approx(float(hu), rel=1e-12)
 
 
 def test_exact_oracle_custom_spending():
-    from fractions import Fraction
-
     eps_table = [Fraction(1, 10**6) * n for n in range(1, 16)]
     seq = SpendingSequence.custom(1e-3, [float(x) for x in eps_table])
     table = BoundaryTable(0.05, seq).extend(15)

@@ -1,8 +1,11 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from seqpval.boundary import BoundaryTable
 from seqpval.inference import (
     SIDE_LOWER,
     SIDE_UPPER,
@@ -17,6 +20,7 @@ from seqpval.inference import (
     wald_lower_bound,
 )
 from seqpval.runner import RunResult, STOPPED, TRUNCATED, BernoulliSampler, run
+from seqpval.spending import SpendingSequence
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +117,13 @@ def test_naive_risk_threshold_sides():
     assert naive_risk(0.05, 1000, 0.05) > 0.4  # at the threshold it cannot be small
 
 
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs most of the import time; naive_risk loads it on use
+    code = ("import sys, seqpval, seqpval.cli; assert 'scipy.stats' not in sys.modules; "
+            "seqpval.naive_risk(0.3, 999, 0.05); assert 'scipy.stats' in sys.modules")
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
+
+
 def test_resampling_risk_bracket(default_table):
     rb = resampling_risk(default_table, 0.1, horizon=20_000)
     assert 0.0 <= rb.lower <= rb.upper
@@ -190,31 +201,51 @@ def test_counts_match_direct_recursion(default_table, counts):
             assert w[i] == pytest.approx(direct[key], rel=1e-9, abs=1e-300)
 
 
-def test_counts_match_exact_integer_pascal(default_table, counts):
+def test_counts_match_exact_integer_pascal():
     # independent oracle: Pascal's recursion in exact Python integers,
-    # restricted to the alive corridor, up to n = 400
-    default_table.extend(400)
-    alive = {0: 1, 1: 1}
-    expect = {}
-    for n in range(2, 401):
-        new = {}
-        for j, c in alive.items():
-            new[j] = new.get(j, 0) + c
-            new[j + 1] = new.get(j + 1, 0) + c
-        u, lo = default_table.upper(n), default_table.lower(n)
-        alive = {}
-        for j, c in new.items():
-            if j >= u or j <= lo:
-                expect[(n, j)] = c
-            else:
-                alive[j] = c
-    sel = counts.tau <= 400
-    checked = 0
-    for i in np.flatnonzero(sel):
-        key = (int(counts.tau[i]), int(counts.s[i]))
-        assert counts.log_count[i] == pytest.approx(math.log(expect[key]), rel=1e-12)
-        checked += 1
-    assert checked == len(expect) > 0
+    # restricted to the alive corridor, up to n = 3000
+    n_max = 3000
+    for alpha, epsilon, k in ((0.05, 1e-3, 1000), (0.1, 1e-2, 100), (0.01, 1e-3, 1000)):
+        table = BoundaryTable(alpha, SpendingSequence.default(epsilon, k))
+        counts = StoppingCounts(table, n_max)
+        alive = {0: 1, 1: 1}
+        expect = {}
+        for n in range(2, n_max + 1):
+            new = {}
+            for j, c in alive.items():
+                new[j] = new.get(j, 0) + c
+                new[j + 1] = new.get(j + 1, 0) + c
+            u, lo = table.upper(n), table.lower(n)
+            alive = {}
+            for j, c in new.items():
+                if j >= u or j <= lo:
+                    expect[(n, j)] = c
+                else:
+                    alive[j] = c
+        got = {(int(t), int(j)): lc for t, j, lc in zip(counts.tau, counts.s, counts.log_count)}
+        assert got.keys() == expect.keys() and len(got) == counts.tau.size
+        for key, c in expect.items():
+            want = math.log(c)
+            assert abs(got[key] - want) <= 1e-11, (alpha, key)
+            assert got[key] == pytest.approx(want, rel=1e-12), (alpha, key)
+
+
+def test_counts_refuse_underflowing_null_masses():
+    # no budget for 600 steps: the corridor spans every S, the null mass
+    # 0.05^n of the top cell underflows to 0 near n = 250, and from there the
+    # upper boundary takes the cells of zero mass, whose counts are lost
+    n = np.arange(1, 1001)
+    seq = SpendingSequence.custom(1e-3, np.where(n <= 600, 0.0, 5e-4))
+    table = BoundaryTable(0.05, seq).extend(1000)
+    first = next(n for n in range(2, 1001) if table.upper(n) <= n)
+    assert 200 < first < 600
+    counts = StoppingCounts(table, first - 1)
+    with pytest.raises(FloatingPointError, match=f"at step {first} "):
+        counts.extend(1000)
+    # the failed call left the counts as they were
+    assert counts.horizon == first - 1 and counts._state.n == first - 1
+    with pytest.raises(FloatingPointError, match=f"at step {first} "):
+        StoppingCounts(table, 1000)
 
 
 def test_counts_endpoint_masses(default_table, counts):

@@ -17,7 +17,7 @@ from seqpval import _native, inference
 from seqpval.boundary import BoundaryTable, DegenerateBoundaryError
 from seqpval.spending import SpendingSequence
 
-TABLE_FIELDS = ("_upper", "_lower", "_hit_upper", "_hit_lower", "_alive")
+TABLE_FIELDS = ("_upper", "_lower", "_hit_upper", "_hit_lower", "_eps", "_alive")
 STATE_FIELDS = ("n_max", "_alive_offset", "_hu", "_hl")
 
 
@@ -80,8 +80,8 @@ class _Collapsing:
     on, so both tails may take more than half the mass and the corridor
     collapses."""
 
-    def values(self, n):
-        idx = np.arange(1, n + 1, dtype=float)
+    def values(self, n, start=1):
+        idx = np.arange(start, n + 1, dtype=float)
         return np.where(idx < 40, 1e-3 * idx / (1000.0 + idx), 0.9)
 
 
@@ -97,27 +97,27 @@ def test_extend_degenerate_step_matches(kernel):
     # the failed call publishes nothing, but the rows it wrote agree too
     assert a.n_max == 10
     assert_tables_equal(a, b)
-    for name in TABLE_FIELDS[:4]:
+    for name in TABLE_FIELDS[:5]:
         assert np.all(getattr(a, name)[:40] == getattr(b, name)[:40]), name
 
 
 def sweep_both(table, p, horizon, *, state=None, alive_floor=0.0, record=True):
     out = []
     for path in (lambda f, *a, **k: f(*a, **k), numpy_path):
-        recs = [] if record else None
         st = None if state is None else inference._SweepState(
             state.n, state.alive.copy(), state.offset, state.sum_alive)
-        st = path(inference._sweep, table, p, horizon, state=st, alive_floor=alive_floor,
-                  outcomes=recs)
-        out.append((st, recs))
-    (sa, ra), (sb, rb) = out
+        out.append(path(inference._sweep, table, p, horizon, state=st, alive_floor=alive_floor,
+                        record=record))
+    sa, sb = out
     assert (sa.n, sa.offset, sa.sum_alive) == (sb.n, sb.offset, sb.sum_alive)
     assert sa.alive.shape == sb.alive.shape and np.all(sa.alive == sb.alive)
     assert inference._alive_total(sa) == inference._alive_total(sb)
-    assert ra == rb
-    if ra:
-        assert [type(x) for x in ra[0]] == [type(x) for x in rb[0]]
-    return sa, ra
+    if not record:
+        assert sa.stops is sb.stops is None
+        return sa, None
+    for x, y, dtype in zip(sa.stops, sb.stops, inference._STOP_DTYPES, strict=True):
+        assert x.dtype == y.dtype == dtype and np.array_equal(x, y)
+    return sa, sa.stops
 
 
 @pytest.mark.parametrize("p", [0.0, 1e-3, 0.03, 0.05, 0.0508, 0.3, 1.0])
@@ -158,9 +158,34 @@ def test_sweep_record_buffer_refills(kernel, default_table, monkeypatch):
     # the smallest record buffer the caller allows: one step's worth
     monkeypatch.setattr(inference, "_RECORD_BUFFER", 1)
     _, recs = sweep_both(default_table, 0.045, 6_000)
-    assert len(recs) > 4_096
+    assert recs[0].size > 4_096
     risk = resampling_risk_both(default_table, 0.0508, 1_000, max_horizon=8_000)
     assert not risk.certified
+
+
+def test_counts_match_numpy(kernel, default_table):
+    # StoppingCounts from the null sweep, resumed once, on both paths
+    def build():
+        return inference.StoppingCounts(default_table, 20_000).extend(30_000)
+
+    a, b = build(), numpy_path(build)
+    for name in ("tau", "s", "side", "log_count"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+@pytest.mark.parametrize("kernel_on", [True, False])
+def test_growth_by_single_steps_matches_one_extension(kernel_on):
+    n = np.arange(1, 3_001)
+    for seq in (SpendingSequence.default(1e-3, 1000),
+                SpendingSequence.custom(1e-2, 1e-2 * (1.0 - np.exp(-n / 300.0)) * 0.999)):
+        def run():
+            return (grow(BoundaryTable(0.1, seq), range(2, 3_001)),
+                    BoundaryTable(0.1, seq).extend(3_000))
+
+        steps, whole = run() if kernel_on else numpy_path(run)
+        assert_tables_equal(steps, whole)
+        assert np.array_equal(steps._eps[2:3_001], seq.values(3_000, start=2))
 
 
 def resampling_risk_both(table, p, horizon, **kwargs):

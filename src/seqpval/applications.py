@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 from importlib import resources
 
 import numpy as np
 from scipy.special import gammaincc, xlogy
 
 from .boundary import BoundaryTable
-from .runner import RunResult, get_table, interim_interval, run
+from .runner import LOWER, RunResult, get_table, interim_interval, run
 
 
 class DataError(ValueError):
@@ -161,8 +162,11 @@ class SampleCounter:
 class NullStatStream:
     """Bit source 1{T(sample) >= t_ref} over fresh null draws.
 
-    Batched for speed; unconsumed bits are handed back on ``pushback`` so the
-    counter reflects exactly the samples the sequential run consumed.
+    ``take(m)`` draws exactly m tables.  The rows of
+    ``Generator.multinomial`` do not depend on how the draws are batched, so
+    the bit sequence is the same whatever chunks the run asks for.
+    ``pushback(k)`` undoes the charge of the last k bits taken, which the
+    run did not consume; those bits are dropped.
     """
 
     def __init__(
@@ -171,38 +175,22 @@ class NullStatStream:
         t_ref: float,
         rng: np.random.Generator,
         counter: SampleCounter | None = None,
-        batch: int = 1024,
     ):
         self.model = model
         self.t_ref = t_ref
         self.rng = rng
         self.counter = counter
-        self.batch = batch
-        self._buf = np.empty(0, dtype=np.int8)
-
-    def _refill(self, need: int):
-        m = max(need, self.batch)
-        tables = sample_null_batch(self.model, self.rng, m)
-        stats = _lrt_batch(tables, self.model.total)
-        bits = (stats >= self.t_ref).astype(np.int8)
-        self._buf = bits if self._buf.size == 0 else np.concatenate([self._buf, bits])
 
     def take(self, m: int) -> np.ndarray:
-        if self._buf.size < m:
-            self._refill(m - self._buf.size)
-        out = self._buf[:m]
-        self._buf = self._buf[m:]
+        tables = sample_null_batch(self.model, self.rng, m)
+        bits = (_lrt_batch(tables, self.model.total) >= self.t_ref).astype(np.int8)
         if self.counter is not None:
-            self.counter.add(int(out.size))
-        return out
+            self.counter.add(m)
+        return bits
 
     def pushback(self, k: int):
-        if k <= 0:
-            return
-        # the last k bits returned by take() were not consumed by the run
-        if self.counter is not None:
+        if k > 0 and self.counter is not None:
             self.counter.add(-k)
-        # they are gone from the buffer; accounting only
 
 
 # -- engine configuration ---------------------------------------------------
@@ -217,7 +205,6 @@ class EngineConfig:
     k: int = 1000
     seed: int | None = None
     max_steps: int | None = None
-    batch: int = 1024
 
     def table(self, alpha: float | None = None) -> BoundaryTable:
         return get_table(alpha if alpha is not None else self.alpha, self.epsilon, self.k)
@@ -267,7 +254,7 @@ def bootstrap_pvalue(
     t_obs = lrt_statistic(data)
     model = fit_independence(data)
     ctr = counter if counter is not None else SampleCounter()
-    stream = NullStatStream(model, t_obs, cfg.rng(), counter=ctr, batch=cfg.batch)
+    stream = NullStatStream(model, t_obs, cfg.rng(), counter=ctr)
     table = cfg.table()
     res = run(table, stream, max_steps=cfg.max_steps)
     interim = None
@@ -301,7 +288,7 @@ def check_level(
 
     t_crit = float(chi2.ppf(1.0 - nominal_alpha, data.df))
     ctr = counter if counter is not None else SampleCounter()
-    stream = NullStatStream(model, t_crit, cfg.rng(), counter=ctr, batch=cfg.batch)
+    stream = NullStatStream(model, t_crit, cfg.rng(), counter=ctr)
     res = run(cfg.table(threshold_alpha), stream, max_steps=cfg.max_steps)
     return BootstrapReport(
         statistic=t_crit,
@@ -311,80 +298,84 @@ def check_level(
     )
 
 
-def _truncated_indicator(table, stream, M: int, num: int, den: int) -> int:
-    """The bit 1{p_hat <= num/den} of a run truncated at M samples.
+class _ClippedBounds:
+    """Boundaries on which a run stops as soon as the bit 1{p_hat <= num/den}
+    of the table's run truncated at M samples is known.
 
-    Exactly equivalent to running the engine for up to M steps and comparing
-    the resulting estimate, but stops drawing as soon as the indicator is
-    determined: upper stops and any state with s > floor(num*M/den) yield 0
-    (no lower crossing is reachable past that count), lower stops and any
-    state where even an all-ones continuation stays at or below the cutoff
-    yield 1 (no upper crossing is reachable either, since U_n - n is
-    non-increasing).  The emitted bit is identical; only the sample count
-    shrinks.
+    With c = floor(num*M/den), a run that reaches M gives 0 once S_n > c and
+    1 once S_n + (M - n) <= c, whatever bits follow.  For n <= M the bounds
+    are U'_n = min(U_n, c + 1) and L'_n = max(L_n, c - M + n), so ``run`` on
+    them stops at the first step where the table's run stops or the bit is
+    fixed, on the upper side exactly when the bit is 0.  At n = M one of the
+    two always holds.  The table's own stops keep their bit, since
+    U_n > n*alpha and L_n < n*alpha.
     """
-    c = (num * M) // den  # largest s_M with s_M/M <= num/den
-    table.extend(M)
-    n = 0
-    s = 0
-    chunk = 32
-    while n < M:
-        m = min(chunk, M - n)
-        bits = np.asarray(stream.take(m), dtype=np.int64)
-        got = bits.size
-        if got == 0:
-            break
-        cum = s + np.cumsum(bits)
-        steps = np.arange(n + 1, n + got + 1)
-        up = cum >= table.upper_array(n + got)[n : n + got]
-        lo = cum <= table.lower_array(n + got)[n : n + got]
-        det0 = cum > c
-        det1 = cum + (M - steps) <= c
-        hit = up | lo | det0 | det1
-        if hit.any():
-            i = int(np.argmax(hit))
-            if hasattr(stream, "pushback"):
-                stream.pushback(got - i - 1)
-            if up[i] or det0[i]:
-                return 0
-            return 1
-        n += got
-        s = int(cum[-1])
-        chunk = min(chunk * 2, 8192)
-    # stream exhausted before determination (cannot happen with the
-    # resampling streams, which are unbounded)
-    return 1 if s * den <= num * max(n, 1) else 0
+
+    def __init__(self, table: BoundaryTable, M: int, num: int, den: int):
+        c = (num * M) // den
+        table.extend(M)
+        self.M = M
+        self._upper = np.minimum(table.upper_array(M), c + 1)
+        self._lower = np.maximum(table.lower_array(M), c - M + np.arange(1, M + 1))
+
+    def extend(self, n: int) -> "_ClippedBounds":
+        return self
+
+    def upper_array(self, n: int) -> np.ndarray:
+        return self._upper[:n]
+
+    def lower_array(self, n: int) -> np.ndarray:
+        return self._lower[:n]
 
 
-class _InnerLevelStream:
+def _truncated_indicator(bounds: _ClippedBounds, stream) -> int:
+    """The bit 1{p_hat <= num/den} of the run truncated at M that ``bounds`` clip."""
+    return int(run(bounds, stream, max_steps=bounds.M).side == LOWER)
+
+
+class _NestedStream:
+    """Outer bits that are each the indicator of a truncated inner run.
+
+    Subclasses build the inner bit source of one outer bit in
+    ``_inner_stream``, charging any draw it needs to the shared counter.
+    ``pushback(k)`` undoes the charge of the last k bits taken: each bit's
+    outer draw and inner samples.
+    """
+
+    def __init__(self, bounds: _ClippedBounds, ctr: SampleCounter, rng):
+        self.bounds = bounds
+        self.ctr = ctr
+        self.rng = rng
+        self._charged = np.zeros(0, dtype=np.int64)  # per bit of the last take
+
+    def take(self, m: int) -> np.ndarray:
+        out = np.empty(m, dtype=np.int8)
+        self._charged = np.empty(m, dtype=np.int64)
+        for i in range(m):
+            before = self.ctr.count
+            out[i] = _truncated_indicator(self.bounds, self._inner_stream())
+            self._charged[i] = self.ctr.count - before
+        return out
+
+    def pushback(self, k: int):
+        if k > 0:
+            self.ctr.add(-int(self._charged[-k:].sum()))
+
+
+class _InnerLevelStream(_NestedStream):
     """Outer bits 1{inner truncated level estimate <= inner_alpha}.
 
     Each outer bit runs the engine on a fresh rejection stream, truncated at
     M inner samples, and compares the resulting estimate to `inner_alpha`.
     """
 
-    def __init__(self, model, t_crit, inner_alpha, M, cfg, ctr, rng):
-        from fractions import Fraction
-
+    def __init__(self, model, t_crit, bounds, ctr, rng):
+        super().__init__(bounds, ctr, rng)
         self.model = model
         self.t_crit = t_crit
-        self.M = M
-        self.cfg = cfg
-        self.ctr = ctr
-        self.rng = rng
-        self.inner_table = cfg.table(inner_alpha)
-        frac = Fraction(inner_alpha).limit_denominator(10**6)
-        self.num, self.den = frac.numerator, frac.denominator
 
-    def take(self, m: int) -> np.ndarray:
-        out = np.empty(m, dtype=np.int8)
-        for i in range(m):
-            stream = NullStatStream(
-                self.model, self.t_crit, self.rng.spawn(1)[0],
-                counter=self.ctr, batch=min(self.cfg.batch, self.M),
-            )
-            out[i] = _truncated_indicator(self.inner_table, stream, self.M, self.num, self.den)
-        return out
+    def _inner_stream(self) -> NullStatStream:
+        return NullStatStream(self.model, self.t_crit, self.rng.spawn(1)[0], counter=self.ctr)
 
 
 def check_level_bootstrap(
@@ -404,7 +395,9 @@ def check_level_bootstrap(
 
     t_crit = float(chi2.ppf(1.0 - inner_alpha, data.df))
     ctr = counter if counter is not None else SampleCounter()
-    stream = _InnerLevelStream(model, t_crit, inner_alpha, M, cfg, ctr, cfg.rng())
+    frac = Fraction(inner_alpha).limit_denominator(10**6)
+    bounds = _ClippedBounds(cfg.table(inner_alpha), M, frac.numerator, frac.denominator)
+    stream = _InnerLevelStream(model, t_crit, bounds, ctr, cfg.rng())
     # each outer bit costs up to M inner samples; keep chunks small so the
     # crossing scan does not draw far past the outer stopping point
     res = run(cfg.table(outer_alpha), stream, max_steps=cfg.max_steps,
@@ -414,7 +407,7 @@ def check_level_bootstrap(
     )
 
 
-class _DoubleBootstrapStream:
+class _DoubleBootstrapStream(_NestedStream):
     """Outer bits of the double bootstrap.
 
     For each outer null draw A_i: run the inner engine at threshold p1 on the
@@ -422,31 +415,16 @@ class _DoubleBootstrapStream:
     refitted to A_i, truncated at M, and emit 1{inner estimate <= p1}.
     """
 
-    def __init__(self, model, p1_num, p1_den, M, cfg, ctr, rng):
+    def __init__(self, model, bounds, ctr, rng):
+        super().__init__(bounds, ctr, rng)
         self.model = model
-        self.p1_num = p1_num
-        self.p1_den = p1_den
-        self.M = M
-        self.cfg = cfg
-        self.ctr = ctr
-        self.rng = rng
-        self.inner_table = cfg.table(p1_num / p1_den)
 
-    def take(self, m: int) -> np.ndarray:
-        out = np.empty(m, dtype=np.int8)
-        for i in range(m):
-            a_i = sample_null(self.model, self.rng)
-            self.ctr.add(1)
-            t_i = lrt_statistic(a_i)
-            model_i = fit_independence(a_i)
-            stream = NullStatStream(
-                model_i, t_i, self.rng.spawn(1)[0],
-                counter=self.ctr, batch=min(self.cfg.batch, self.M),
-            )
-            out[i] = _truncated_indicator(
-                self.inner_table, stream, self.M, self.p1_num, self.p1_den
-            )
-        return out
+    def _inner_stream(self) -> NullStatStream:
+        a_i = sample_null(self.model, self.rng)
+        self.ctr.add(1)
+        return NullStatStream(
+            fit_independence(a_i), lrt_statistic(a_i), self.rng.spawn(1)[0], counter=self.ctr
+        )
 
 
 def double_bootstrap(
@@ -481,60 +459,14 @@ def double_bootstrap(
             f"first-stage estimate p1={hits}/{first_stage} is degenerate; "
             "increase the budget"
         )
-    stream = _DoubleBootstrapStream(model, hits, first_stage, M, cfg, ctr, rng)
+    bounds = _ClippedBounds(cfg.table(hits / first_stage), M, hits, first_stage)
+    stream = _DoubleBootstrapStream(model, bounds, ctr, rng)
     # chunks stay small: every outer bit is an entire truncated inner run
     res = run(cfg.table(), stream, max_steps=cfg.max_steps,
               initial_chunk=8, max_chunk=32)
     return BootstrapReport(
         statistic=t_obs,
         chisq_p=chisq_pvalue(t_obs, data.df),
-        result=res,
-        samples_used=ctr.count,
-    )
-
-
-def check_level_double_bootstrap(
-    data: ContingencyTable,
-    M: int = 250,
-    first_stage: int = 10_000,
-    outer_alpha: float = 0.05,
-    outer_max_steps: int = 500,
-    config: EngineConfig | None = None,
-    counter: SampleCounter | None = None,
-) -> BootstrapReport:
-    """Triple-level construct: level of the double-bootstrap test itself.
-
-    Each outermost bit repeats the whole double bootstrap on a fresh null
-    draw and records whether it rejects at `outer_alpha`; the outermost run
-    is truncated at `outer_max_steps` to keep the cost bounded.
-    """
-    cfg = config if config is not None else EngineConfig()
-    model = fit_independence(data)
-    ctr = counter if counter is not None else SampleCounter()
-    rng = cfg.rng()
-
-    class _Outer:
-        def take(self, m):
-            out = np.empty(m, dtype=np.int8)
-            for i in range(m):
-                a_i = sample_null(model, rng)
-                ctr.add(1)
-                sub_cfg = EngineConfig(
-                    alpha=cfg.alpha, epsilon=cfg.epsilon, k=cfg.k,
-                    seed=rng.spawn(1)[0], max_steps=cfg.max_steps, batch=cfg.batch,
-                )
-                rep = double_bootstrap(
-                    ContingencyTable(a_i.counts), M=M, first_stage=first_stage,
-                    config=sub_cfg, counter=ctr,
-                )
-                out[i] = 1 if rep.result.p_hat <= outer_alpha else 0
-            return out
-
-    res = run(cfg.table(outer_alpha), _Outer(), max_steps=outer_max_steps,
-              initial_chunk=4, max_chunk=16)
-    return BootstrapReport(
-        statistic=lrt_statistic(data),
-        chisq_p=outer_alpha,
         result=res,
         samples_used=ctr.count,
     )

@@ -98,9 +98,23 @@ def cmd_boundaries(args) -> int:
     return EXIT_OK
 
 
+def _reap_child(proc, at_eof: bool) -> int:
+    """Wait for the child once its output has ended; terminate it first when
+    the run stopped reading early.  Returns its exit status."""
+    proc.stdout.close()
+    if not at_eof:
+        proc.terminate()
+    try:
+        return proc.wait(timeout=None if at_eof else 5)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        return proc.wait()
+
+
 def cmd_run(args) -> int:
     table = _build_table(args)
     seed = None
+    proc = None
     if args.simulate_p is not None:
         if not (0.0 <= args.simulate_p <= 1.0):
             raise ConfigError(f"--simulate-p must be in [0, 1], got {args.simulate_p}")
@@ -117,14 +131,22 @@ def cmd_run(args) -> int:
     def progress(rec):
         print(json.dumps(rec, sort_keys=True), file=sys.stderr, flush=True)
 
-    res = run(
-        table,
-        source,
-        max_steps=args.max_steps,
-        report_every=args.report_every,
-        report_seconds=args.report_seconds,
-        progress=progress,
-    )
+    at_eof = False
+    try:
+        res = run(
+            table,
+            source,
+            max_steps=args.max_steps,
+            report_every=args.report_every,
+            report_seconds=args.report_seconds,
+            progress=progress,
+        )
+        # before a stop or the step cap, the run ended because the input did
+        at_eof = not res.stopped and (args.max_steps is None or res.n < args.max_steps)
+    finally:
+        status = _reap_child(proc, at_eof) if proc is not None else 0
+    if at_eof and status != 0:
+        raise RuntimeError(f"command exited with status {status} after {res.n} bits")
     report = {
         "status": res.status,
         "n": res.n,
@@ -227,7 +249,7 @@ def cmd_demo(args) -> int:
         rep = check_level(data, config=cfg)
     elif args.name == "double-bootstrap":
         rep = double_bootstrap(data, M=args.inner_m, config=cfg)
-    elif args.name == "triple-level":
+    elif args.name == "level-bootstrap":
         rep = check_level_bootstrap(data, M=args.inner_m, config=cfg)
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown demo {args.name!r}")
@@ -291,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("demo", help="bundled contingency-table workflows")
     _add_common(d)
-    d.add_argument("name", choices=("bootstrap", "level", "double-bootstrap", "triple-level"))
+    d.add_argument("name", choices=("bootstrap", "level", "double-bootstrap", "level-bootstrap"))
     d.add_argument("--max-steps", type=int, default=None)
     d.add_argument("--inner-m", type=int, default=250)
     d.set_defaults(func=cmd_demo)

@@ -562,36 +562,3 @@ def confidence_interval_running(
         le = (cts.s <= p_max * cts.tau).astype(float)
         p_high = _bisect_mono(g_hi(le), target, 0.0, 1.0, False, tol)
     return (p_low, p_high)
-
-
-# -- curves ----------------------------------------------------------------
-
-
-def risk_curve(
-    table: BoundaryTable,
-    ps,
-    horizon: int = 20_000,
-    etau_horizon: int | None = None,
-    **risk_kwargs,
-) -> list[dict]:
-    """Per-p records (rr bracket, expected stopping time, Wald bound) for CSV export."""
-    eps = table.spending.epsilon
-    out = []
-    for p in ps:
-        rb = resampling_risk(table, p, horizon, **risk_kwargs)
-        et, et_res = expected_stop_time(table, p, etau_horizon or horizon)
-        try:
-            wald = wald_lower_bound(p, eps, table.alpha)
-        except ValueError:
-            wald = math.inf
-        out.append(
-            {
-                "p": p,
-                "rr_lower": rb.lower,
-                "rr_upper": rb.upper,
-                "e_tau": et,
-                "residual": rb.residual,
-                "wald_bound": wald,
-            }
-        )
-    return out

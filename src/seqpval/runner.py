@@ -95,10 +95,6 @@ class BernoulliSampler:
     def take(self, m: int) -> np.ndarray:
         return (self.rng.random(m) < self.p).astype(np.int8)
 
-    def __iter__(self):
-        while True:
-            yield int(self.rng.random() < self.p)
-
 
 class TextBitSource:
     """Line-oriented 0/1 input (one bit per line, whitespace tolerated)."""
@@ -148,15 +144,6 @@ def _as_bit_source(source):
 
 
 # -- interim intervals -----------------------------------------------------
-
-
-def coarse_interval(table: BoundaryTable, n: int) -> tuple[float, float]:
-    """The loose interim bounds alpha -/+ (delta_n + 1)/n, clipped to [0, 1]."""
-    d = table.delta(n)
-    if math.isinf(d):
-        return (0.0, 1.0)
-    half = (d + 1.0) / n
-    return (max(0.0, table.alpha - half), min(1.0, table.alpha + half))
 
 
 def interim_interval(

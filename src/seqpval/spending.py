@@ -155,8 +155,3 @@ def validate_spending(
     return SpendingReport(
         horizon=horizon, increments=incs, flags=tuple(flags), threshold=decay_threshold
     )
-
-
-def spending_value(seq: SpendingSequence, n: int) -> float:
-    """Functional alias for ``seq.value(n)``."""
-    return seq.value(n)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from seqpval import applications
 from seqpval.applications import (
     ContingencyTable,
     DataError,
@@ -20,7 +21,7 @@ from seqpval.applications import (
     lrt_statistic,
     sample_null,
 )
-from seqpval.runner import BernoulliSampler
+from seqpval.runner import BernoulliSampler, get_table, run
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +244,63 @@ def test_check_level_bootstrap_nested(data):
     assert ctr.count >= rep.result.n  # at least one inner sample per outer bit
     with pytest.raises(ValueError):
         check_level_bootstrap(data, M=0)
+
+
+class _CountedBits:
+    """Bernoulli bits that count what a run consumes (taken minus pushed back)."""
+
+    def __init__(self, p, seed):
+        self.source = BernoulliSampler(p, seed=seed)
+        self.consumed = 0
+
+    def take(self, m):
+        bits = self.source.take(m)
+        self.consumed += bits.size
+        return bits
+
+    def pushback(self, k):
+        self.consumed -= k
+
+
+def test_truncated_indicator_matches_full_run():
+    streams = 0
+    for num, den in ((1, 20), (1, 10)):
+        alpha = num / den
+        table = get_table(alpha)
+        for M in (1, 7, 50, 250):
+            bounds = applications._ClippedBounds(table, M, num, den)
+            for p in (alpha, 0.8 * alpha, 1.25 * alpha, 0.005, 0.4):
+                for seed in range(6):
+                    clipped = _CountedBits(p, seed)
+                    bit = applications._truncated_indicator(bounds, clipped)
+                    full = _CountedBits(p, seed)
+                    res = run(table, full, max_steps=M)
+                    assert bit == int(res.s * den <= num * res.n), (num, den, M, p, seed)
+                    assert clipped.consumed <= full.consumed
+                    streams += 1
+    assert streams >= 200
+
+
+@pytest.mark.parametrize("construct", [
+    lambda data: double_bootstrap(data, M=50, config=EngineConfig(seed=11)),
+    lambda data: check_level_bootstrap(data, M=50, config=EngineConfig(seed=3, max_steps=200)),
+], ids=["double_bootstrap", "check_level_bootstrap"])
+def test_nested_charge_equals_outer_chunks_of_one(data, monkeypatch, construct):
+    # outer bits computed past the outer stop are not charged, so the charge
+    # does not depend on the outer run's chunk sizes
+    chunked = construct(data)
+    real_run = applications.run
+
+    def one_outer_bit_per_take(table, source, **kwargs):
+        if isinstance(source, (applications._DoubleBootstrapStream,
+                               applications._InnerLevelStream)):
+            kwargs.update(initial_chunk=1, max_chunk=1)
+        return real_run(table, source, **kwargs)
+
+    monkeypatch.setattr(applications, "run", one_outer_bit_per_take)
+    single = construct(data)
+    assert chunked.result == single.result and chunked.result.stopped
+    assert chunked.samples_used == single.samples_used
 
 
 def test_double_bootstrap_side_and_cost(data):

@@ -1,5 +1,6 @@
 import io
 import json
+import subprocess
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -112,6 +113,36 @@ def test_run_invalid_bits_runtime_error():
     assert "error" in err
 
 
+def test_run_cmd_failed_child_is_runtime_error():
+    code, out, err = invoke(["run", "--cmd", "printf '0\\n1\\n0\\n'; exit 7"])
+    assert code == EXIT_RUNTIME and out == ""
+    assert "status 7" in err
+    # the same bits from a child that exits 0 are an ordinary truncation
+    code, out, _ = invoke(["run", "--cmd", "printf '0\\n1\\n0\\n'"])
+    assert code == EXIT_TRUNCATED and json.loads(out)["n"] == 3
+
+
+def test_run_cmd_child_terminated_and_reaped(monkeypatch):
+    started = []
+    real_popen = subprocess.Popen
+
+    def spy(*args, **kwargs):
+        started.append(real_popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", spy)
+    try:
+        code, out, _ = invoke(["run", "--cmd", "while true; do echo 1; done"])
+        assert code == EXIT_OK and json.loads(out)["side"] == "upper"
+        (proc,) = started
+        assert proc.returncode is not None  # reaped
+        assert proc.returncode < 0  # ended by a signal, still printing
+    finally:
+        for proc in started:
+            proc.kill()
+            proc.wait()
+
+
 def test_risk_naive_anchor_row():
     code, out, _ = invoke(
         ["risk", "--naive-n", "999", "--p", "0.11", "--alpha", "0.1"]
@@ -199,6 +230,15 @@ def test_demo_determinism():
     a = invoke(["demo", "level", "--seed", "2"])
     b = invoke(["demo", "level", "--seed", "2"])
     assert a == b
+
+
+def test_demo_level_bootstrap():
+    code, out, _ = invoke(
+        ["demo", "level-bootstrap", "--seed", "3", "--max-steps", "200", "--inner-m", "50"]
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["bootstrap"]["side"] == "upper"
+    assert invoke(["demo", "triple-level", "--seed", "3"])[0] == EXIT_CONFIG
 
 
 def test_output_file(tmp_path):

@@ -16,7 +16,6 @@ from seqpval.inference import (
     naive_risk,
     outcome_distribution,
     resampling_risk,
-    risk_curve,
     wald_lower_bound,
 )
 from seqpval.runner import RunResult, STOPPED, TRUNCATED, BernoulliSampler, run
@@ -176,15 +175,6 @@ def test_expected_stop_time_matches_distribution(default_table):
 def test_expected_stop_time_exceeds_wald(default_table):
     et, _ = expected_stop_time(default_table, 0.1, 100_000)
     assert et >= wald_lower_bound(0.1, 1e-3, 0.05) * 0.999
-
-
-def test_risk_curve_rows(default_table):
-    rows = risk_curve(default_table, [0.2, 0.3], horizon=2000)
-    assert [r["p"] for r in rows] == [0.2, 0.3]
-    for r in rows:
-        assert r["rr_lower"] <= r["rr_upper"]
-        assert r["e_tau"] >= 1.0
-        assert r["wald_bound"] > 0
 
 
 # -- path counts ------------------------------------------------------------

@@ -12,7 +12,6 @@ from seqpval.runner import (
     RunState,
     SamplerError,
     TextBitSource,
-    coarse_interval,
     get_table,
     h_alpha,
     interim_interval,
@@ -176,13 +175,6 @@ def test_progress_does_not_change_outcome(default_table):
 
 
 # -- interim intervals ------------------------------------------------------
-
-
-def test_coarse_interval_contains_boundary_ratios(default_table):
-    default_table.extend(2000)
-    lo, hi = coarse_interval(default_table, 1000)
-    assert 0.0 <= lo < 0.05 < hi <= 1.0
-    assert default_table.upper(1000) / 1000 <= hi + 1e-12
 
 
 def test_interim_contains_every_future_estimate(default_table):

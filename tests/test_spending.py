@@ -7,7 +7,6 @@ from seqpval.spending import (
     MAX_EPSILON,
     SpendingError,
     SpendingSequence,
-    spending_value,
     validate_spending,
 )
 
@@ -97,8 +96,3 @@ def test_validate_spending_flags_fast_decay():
     stalled = validate_spending(SpendingSequence.custom(1e-2, [1e-4] * 10), 10)
     assert not stalled.ok
     assert any("non-positive" in msg for _, msg in stalled.flags)
-
-
-def test_spending_value_alias():
-    seq = SpendingSequence.default(1e-3, 1000)
-    assert spending_value(seq, 17) == seq.value(17)

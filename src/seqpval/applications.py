@@ -3,9 +3,9 @@
 The case study: a likelihood-ratio test of independence on a small table,
 its chi-square asymptotic p-value, a parametric bootstrap under the fitted
 independence model driven by the sequential procedure, level checks of the
-asymptotic test, the double bootstrap, and a sample-size search.  Every
-nested construct charges the samples it consumes to a shared counter so that
-total-cost comparisons are exact.
+asymptotic test, the double bootstrap, and a sample-size search.  Each
+workflow reports as `samples_used` the null draws its runs consumed, computed
+from their results, so that total-cost comparisons are exact.
 """
 
 from __future__ import annotations
@@ -104,15 +104,10 @@ def lrt_statistic(table: ContingencyTable) -> float:
     particular whole zero rows/columns) contribute 0 by the 0 log 0 = 0
     convention.
     """
-    a = table.counts.astype(float)
     n = table.total
     if n == 0:
         raise DataError("LRT statistic undefined for an all-zero table")
-    h = np.outer(table.row_sums, table.col_sums) / float(n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(h > 0.0, a / np.where(h > 0.0, h, 1.0), 1.0)
-        t = 2.0 * float(xlogy(a, ratio).sum())
-    return t
+    return float(_lrt_batch(table.counts[None], n)[0])
 
 
 def _lrt_batch(counts: np.ndarray, n_total: int) -> np.ndarray:
@@ -149,48 +144,23 @@ def sample_null_batch(model: NullModel, rng: np.random.Generator, size: int) -> 
     return flat.reshape((size,) + model.cell_probs.shape)
 
 
-class SampleCounter:
-    """Shared tally of null tables drawn anywhere inside a nested construct."""
-
-    def __init__(self):
-        self.count = 0
-
-    def add(self, m: int):
-        self.count += m
-
-
 class NullStatStream:
     """Bit source 1{T(sample) >= t_ref} over fresh null draws.
 
     ``take(m)`` draws exactly m tables.  The rows of
     ``Generator.multinomial`` do not depend on how the draws are batched, so
-    the bit sequence is the same whatever chunks the run asks for.
-    ``pushback(k)`` undoes the charge of the last k bits taken, which the
-    run did not consume; those bits are dropped.
+    the bit sequence is the same whatever chunks the run asks for.  A run
+    over the stream consumes one table per step, so its ``n`` is its cost.
     """
 
-    def __init__(
-        self,
-        model: NullModel,
-        t_ref: float,
-        rng: np.random.Generator,
-        counter: SampleCounter | None = None,
-    ):
+    def __init__(self, model: NullModel, t_ref: float, rng: np.random.Generator):
         self.model = model
         self.t_ref = t_ref
         self.rng = rng
-        self.counter = counter
 
     def take(self, m: int) -> np.ndarray:
         tables = sample_null_batch(self.model, self.rng, m)
-        bits = (_lrt_batch(tables, self.model.total) >= self.t_ref).astype(np.int8)
-        if self.counter is not None:
-            self.counter.add(m)
-        return bits
-
-    def pushback(self, k: int):
-        if k > 0 and self.counter is not None:
-            self.counter.add(-k)
+        return (_lrt_batch(tables, self.model.total) >= self.t_ref).astype(np.int8)
 
 
 # -- engine configuration ---------------------------------------------------
@@ -247,14 +217,12 @@ class BootstrapReport:
 def bootstrap_pvalue(
     data: ContingencyTable,
     config: EngineConfig | None = None,
-    counter: SampleCounter | None = None,
 ) -> BootstrapReport:
     """Sequential parametric-bootstrap p-value for the independence LRT."""
     cfg = config if config is not None else EngineConfig()
     t_obs = lrt_statistic(data)
     model = fit_independence(data)
-    ctr = counter if counter is not None else SampleCounter()
-    stream = NullStatStream(model, t_obs, cfg.rng(), counter=ctr)
+    stream = NullStatStream(model, t_obs, cfg.rng())
     table = cfg.table()
     res = run(table, stream, max_steps=cfg.max_steps)
     interim = None
@@ -264,7 +232,7 @@ def bootstrap_pvalue(
         statistic=t_obs,
         chisq_p=chisq_pvalue(t_obs, data.df),
         result=res,
-        samples_used=ctr.count,
+        samples_used=res.n,
         interim=interim,
     )
 
@@ -274,7 +242,6 @@ def check_level(
     nominal_alpha: float = 0.05,
     threshold_alpha: float = 0.05,
     config: EngineConfig | None = None,
-    counter: SampleCounter | None = None,
 ) -> BootstrapReport:
     """Estimate the true level of the asymptotic test under the fitted null.
 
@@ -287,14 +254,13 @@ def check_level(
     from scipy.stats import chi2
 
     t_crit = float(chi2.ppf(1.0 - nominal_alpha, data.df))
-    ctr = counter if counter is not None else SampleCounter()
-    stream = NullStatStream(model, t_crit, cfg.rng(), counter=ctr)
+    stream = NullStatStream(model, t_crit, cfg.rng())
     res = run(cfg.table(threshold_alpha), stream, max_steps=cfg.max_steps)
     return BootstrapReport(
         statistic=t_crit,
         chisq_p=nominal_alpha,
         result=res,
-        samples_used=ctr.count,
+        samples_used=res.n,
     )
 
 
@@ -328,38 +294,35 @@ class _ClippedBounds:
         return self._lower[:n]
 
 
-def _truncated_indicator(bounds: _ClippedBounds, stream) -> int:
-    """The bit 1{p_hat <= num/den} of the run truncated at M that ``bounds`` clip."""
-    return int(run(bounds, stream, max_steps=bounds.M).side == LOWER)
+def _truncated_indicator(bounds: _ClippedBounds, stream) -> tuple[int, int]:
+    """The bit 1{p_hat <= num/den} of the run truncated at M that ``bounds``
+    clip, and the number of bits that run consumed."""
+    res = run(bounds, stream, max_steps=bounds.M)
+    return int(res.side == LOWER), res.n
 
 
 class _NestedStream:
     """Outer bits that are each the indicator of a truncated inner run.
 
     Subclasses build the inner bit source of one outer bit in
-    ``_inner_stream``, charging any draw it needs to the shared counter.
-    ``pushback(k)`` undoes the charge of the last k bits taken: each bit's
-    outer draw and inner samples.
+    ``_inner_stream``.  ``costs`` holds, for every outer bit taken, the
+    samples it consumed: its inner run's n plus ``outer_draws``.  An outer
+    run that consumed n bits cost ``sum(costs[:n])``.
     """
 
-    def __init__(self, bounds: _ClippedBounds, ctr: SampleCounter, rng):
+    outer_draws = 0  # null draws per outer bit besides its inner run's
+
+    def __init__(self, bounds: _ClippedBounds, rng):
         self.bounds = bounds
-        self.ctr = ctr
         self.rng = rng
-        self._charged = np.zeros(0, dtype=np.int64)  # per bit of the last take
+        self.costs: list[int] = []
 
     def take(self, m: int) -> np.ndarray:
         out = np.empty(m, dtype=np.int8)
-        self._charged = np.empty(m, dtype=np.int64)
         for i in range(m):
-            before = self.ctr.count
-            out[i] = _truncated_indicator(self.bounds, self._inner_stream())
-            self._charged[i] = self.ctr.count - before
+            out[i], n = _truncated_indicator(self.bounds, self._inner_stream())
+            self.costs.append(n + self.outer_draws)
         return out
-
-    def pushback(self, k: int):
-        if k > 0:
-            self.ctr.add(-int(self._charged[-k:].sum()))
 
 
 class _InnerLevelStream(_NestedStream):
@@ -369,13 +332,13 @@ class _InnerLevelStream(_NestedStream):
     M inner samples, and compares the resulting estimate to `inner_alpha`.
     """
 
-    def __init__(self, model, t_crit, bounds, ctr, rng):
-        super().__init__(bounds, ctr, rng)
+    def __init__(self, model, t_crit, bounds, rng):
+        super().__init__(bounds, rng)
         self.model = model
         self.t_crit = t_crit
 
     def _inner_stream(self) -> NullStatStream:
-        return NullStatStream(self.model, self.t_crit, self.rng.spawn(1)[0], counter=self.ctr)
+        return NullStatStream(self.model, self.t_crit, self.rng.spawn(1)[0])
 
 
 def check_level_bootstrap(
@@ -384,7 +347,6 @@ def check_level_bootstrap(
     outer_alpha: float = 0.05,
     inner_alpha: float = 0.05,
     config: EngineConfig | None = None,
-    counter: SampleCounter | None = None,
 ) -> BootstrapReport:
     """Nested level check: outer sequential run over inner truncated runs."""
     if M < 1:
@@ -394,16 +356,16 @@ def check_level_bootstrap(
     from scipy.stats import chi2
 
     t_crit = float(chi2.ppf(1.0 - inner_alpha, data.df))
-    ctr = counter if counter is not None else SampleCounter()
     frac = Fraction(inner_alpha).limit_denominator(10**6)
     bounds = _ClippedBounds(cfg.table(inner_alpha), M, frac.numerator, frac.denominator)
-    stream = _InnerLevelStream(model, t_crit, bounds, ctr, cfg.rng())
+    stream = _InnerLevelStream(model, t_crit, bounds, cfg.rng())
     # each outer bit costs up to M inner samples; keep chunks small so the
     # crossing scan does not draw far past the outer stopping point
     res = run(cfg.table(outer_alpha), stream, max_steps=cfg.max_steps,
               initial_chunk=8, max_chunk=32)
     return BootstrapReport(
-        statistic=t_crit, chisq_p=inner_alpha, result=res, samples_used=ctr.count
+        statistic=t_crit, chisq_p=inner_alpha, result=res,
+        samples_used=sum(stream.costs[:res.n]),
     )
 
 
@@ -415,16 +377,15 @@ class _DoubleBootstrapStream(_NestedStream):
     refitted to A_i, truncated at M, and emit 1{inner estimate <= p1}.
     """
 
-    def __init__(self, model, bounds, ctr, rng):
-        super().__init__(bounds, ctr, rng)
+    outer_draws = 1  # A_i
+
+    def __init__(self, model, bounds, rng):
+        super().__init__(bounds, rng)
         self.model = model
 
     def _inner_stream(self) -> NullStatStream:
         a_i = sample_null(self.model, self.rng)
-        self.ctr.add(1)
-        return NullStatStream(
-            fit_independence(a_i), lrt_statistic(a_i), self.rng.spawn(1)[0], counter=self.ctr
-        )
+        return NullStatStream(fit_independence(a_i), lrt_statistic(a_i), self.rng.spawn(1)[0])
 
 
 def double_bootstrap(
@@ -432,14 +393,14 @@ def double_bootstrap(
     M: int = 250,
     first_stage: int = 10_000,
     config: EngineConfig | None = None,
-    counter: SampleCounter | None = None,
 ) -> BootstrapReport:
     """Double-bootstrap adjusted p-value of the independence LRT.
 
     Stage one estimates the plain bootstrap p-value p1 from a fixed budget of
     null draws; stage two runs the sequential engine on the adjustment
-    indicators, each requiring an inner run truncated at M.  All samples from
-    every stage are charged to the counter.
+    indicators, each requiring an inner run truncated at M.  `samples_used`
+    counts the samples of every stage: the first-stage budget, and each
+    consumed outer bit's draw and inner samples.
     """
     if M < 1:
         raise ValueError(f"inner truncation M must be >= 1, got {M}")
@@ -448,10 +409,8 @@ def double_bootstrap(
     cfg = config if config is not None else EngineConfig()
     t_obs = lrt_statistic(data)
     model = fit_independence(data)
-    ctr = counter if counter is not None else SampleCounter()
     rng = cfg.rng()
     tables = sample_null_batch(model, rng, first_stage)
-    ctr.add(first_stage)
     stats = _lrt_batch(tables, model.total)
     hits = int(np.count_nonzero(stats >= t_obs))
     if not (0 < hits < first_stage):
@@ -460,7 +419,7 @@ def double_bootstrap(
             "increase the budget"
         )
     bounds = _ClippedBounds(cfg.table(hits / first_stage), M, hits, first_stage)
-    stream = _DoubleBootstrapStream(model, bounds, ctr, rng)
+    stream = _DoubleBootstrapStream(model, bounds, rng)
     # chunks stay small: every outer bit is an entire truncated inner run
     res = run(cfg.table(), stream, max_steps=cfg.max_steps,
               initial_chunk=8, max_chunk=32)
@@ -468,7 +427,7 @@ def double_bootstrap(
         statistic=t_obs,
         chisq_p=chisq_pvalue(t_obs, data.df),
         result=res,
-        samples_used=ctr.count,
+        samples_used=first_stage + sum(stream.costs[:res.n]),
     )
 
 

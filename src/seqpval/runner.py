@@ -12,6 +12,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -56,30 +57,6 @@ class RunResult:
         return self.s / self.n
 
 
-class RunState:
-    """Mutable (n, s) pair tied to a boundary table that extends on demand."""
-
-    def __init__(self, table: BoundaryTable, n: int = 0, s: int = 0):
-        if not (0 <= s <= n):
-            raise ValueError(f"invalid state: need 0 <= s <= n, got s={s}, n={n}")
-        self.table = table
-        self.n = n
-        self.s = s
-
-    def step(self, x: int) -> RunResult | None:
-        """Consume one bit; return a RunResult when a boundary is hit."""
-        if x not in (0, 1):
-            raise ValueError(f"bits must be 0 or 1, got {x!r}")
-        self.n += 1
-        self.s += x
-        self.table.extend(self.n)
-        if self.s >= self.table.upper(self.n):
-            return RunResult(STOPPED, self.n, self.s, UPPER)
-        if self.s <= self.table.lower(self.n):
-            return RunResult(STOPPED, self.n, self.s, LOWER)
-        return None
-
-
 # -- bit sources -----------------------------------------------------------
 
 
@@ -100,47 +77,44 @@ class TextBitSource:
     """Line-oriented 0/1 input (one bit per line, whitespace tolerated)."""
 
     def __init__(self, lines):
-        self._lines = iter(lines)
+        self._lines = lines
 
-    def take(self, m: int) -> np.ndarray:
-        out = []
+    def __iter__(self):
         for raw in self._lines:
             tok = raw.strip()
             if not tok:
                 continue
             if tok not in ("0", "1"):
                 raise ValueError(f"invalid bit {tok!r} in text stream")
-            out.append(int(tok))
-            if len(out) == m:
-                break
-        return np.asarray(out, dtype=np.int8)
+            yield int(tok)
 
 
-class CallbackSampler:
-    """Adapter for a user callback returning one bit per call."""
+class _IterSource:
+    """``take(m)`` over an iterable of bits: up to m of them, each 0 or 1.
 
-    def __init__(self, fn):
-        self.fn = fn
+    A failure (a bad bit, or an exception from the iterable) ends the take
+    at the bits before it and is raised by the next take, so a run stops
+    wherever it would with takes of one bit.
+    """
+
+    def __init__(self, bits):
+        self._it = iter(bits)
+        self._failure = None
 
     def take(self, m: int) -> np.ndarray:
-        return np.fromiter((self.fn() for _ in range(m)), dtype=np.int8, count=m)
-
-
-def _as_bit_source(source):
-    if hasattr(source, "take"):
-        return source
-    it = iter(source)
-
-    class _IterSource:
-        def take(self, m):
-            out = []
-            for x in it:
+        if self._failure is not None:
+            raise self._failure
+        out = []
+        try:
+            for x in islice(self._it, m):
+                if x not in (0, 1):
+                    raise ValueError(f"bits must be 0 or 1, got {x!r}")
                 out.append(x)
-                if len(out) == m:
-                    break
-            return np.asarray(out, dtype=np.int8)
-
-    return _IterSource()
+        except Exception as exc:  # noqa: BLE001 - raised by the next take
+            if not out:
+                raise
+            self._failure = exc
+        return np.asarray(out, dtype=np.int8)
 
 
 # -- interim intervals -----------------------------------------------------
@@ -221,13 +195,16 @@ def run(
 ) -> RunResult:
     """Drive the test until a boundary is hit, the stream ends, or max_steps.
 
-    `source` is any iterable of bits or an object with ``take(m)``; excess
-    bits taken past a stop are handed back via ``source.pushback(k)`` when the
-    source supports it.  Progress records (dicts with n, s, p_min, p_max,
-    elapsed_ms) are delivered to `progress` at the configured report points;
-    reporting never changes the consumed bit sequence.
+    `source` is an object with ``take(m)``, which returns up to m bits, or
+    any iterable of 0/1 bits; for a callback ``fn`` returning one bit per
+    call, pass ``iter(fn, None)``.  Bits taken past a stop are dropped.  A
+    source that fails, or an iterable that yields anything but 0 or 1, raises
+    `SamplerError` with the state reached before the failing take (for an
+    iterable, before the failing bit).  Progress records (dicts with n, s,
+    p_min, p_max, elapsed_ms) are delivered to `progress` at the configured
+    report points; reporting never changes the consumed bit sequence.
     """
-    src = _as_bit_source(source)
+    src = source if hasattr(source, "take") else _IterSource(source)
     n = 0
     s = 0
     t0 = time.monotonic()
@@ -259,8 +236,6 @@ def run(
         hit = up | lo
         if hit.any():
             i = int(np.argmax(hit))
-            if hasattr(src, "pushback"):
-                src.pushback(got - i - 1)
             n += i + 1
             s = int(cum[i])
             side = UPPER if up[i] else LOWER

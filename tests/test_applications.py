@@ -9,7 +9,6 @@ from seqpval.applications import (
     DataError,
     EngineConfig,
     NullModel,
-    SampleCounter,
     bootstrap_pvalue,
     check_level,
     check_level_bootstrap,
@@ -233,33 +232,12 @@ def test_check_level_sides(data):
 
 
 def test_check_level_bootstrap_nested(data):
-    ctr = SampleCounter()
-    rep = check_level_bootstrap(
-        data, M=50, config=EngineConfig(seed=3, max_steps=200), counter=ctr
-    )
-    assert rep.samples_used == ctr.count
-    # every outer bit costs at most M inner samples (the outer run may draw a
-    # partial chunk past its stopping point)
-    assert ctr.count <= 50 * (rep.result.n + 8192)
-    assert ctr.count >= rep.result.n  # at least one inner sample per outer bit
+    rep = check_level_bootstrap(data, M=50, config=EngineConfig(seed=3, max_steps=200))
+    n = rep.result.n
+    # every consumed outer bit costs between 1 and M inner samples
+    assert n <= rep.samples_used <= 50 * n
     with pytest.raises(ValueError):
         check_level_bootstrap(data, M=0)
-
-
-class _CountedBits:
-    """Bernoulli bits that count what a run consumes (taken minus pushed back)."""
-
-    def __init__(self, p, seed):
-        self.source = BernoulliSampler(p, seed=seed)
-        self.consumed = 0
-
-    def take(self, m):
-        bits = self.source.take(m)
-        self.consumed += bits.size
-        return bits
-
-    def pushback(self, k):
-        self.consumed -= k
 
 
 def test_truncated_indicator_matches_full_run():
@@ -271,12 +249,11 @@ def test_truncated_indicator_matches_full_run():
             bounds = applications._ClippedBounds(table, M, num, den)
             for p in (alpha, 0.8 * alpha, 1.25 * alpha, 0.005, 0.4):
                 for seed in range(6):
-                    clipped = _CountedBits(p, seed)
-                    bit = applications._truncated_indicator(bounds, clipped)
-                    full = _CountedBits(p, seed)
-                    res = run(table, full, max_steps=M)
+                    bit, n = applications._truncated_indicator(
+                        bounds, BernoulliSampler(p, seed=seed))
+                    res = run(table, BernoulliSampler(p, seed=seed), max_steps=M)
                     assert bit == int(res.s * den <= num * res.n), (num, den, M, p, seed)
-                    assert clipped.consumed <= full.consumed
+                    assert 1 <= n <= res.n
                     streams += 1
     assert streams >= 200
 
@@ -304,16 +281,37 @@ def test_nested_charge_equals_outer_chunks_of_one(data, monkeypatch, construct):
 
 
 def test_double_bootstrap_side_and_cost(data):
-    ctr = SampleCounter()
-    rep = double_bootstrap(data, config=EngineConfig(seed=5), counter=ctr)
+    rep = double_bootstrap(data, config=EngineConfig(seed=5))
     assert rep.result.stopped
     assert rep.result.side == "upper"  # adjusted p-value is not significant
     assert rep.result.p_hat > 0.05
-    assert rep.samples_used == ctr.count < 150_000
+    # the first stage, then per consumed outer bit one outer draw and 1 to M
+    # inner samples
+    n = rep.result.n
+    assert 10_000 + 2 * n <= rep.samples_used <= 10_000 + 251 * n
+    assert rep.samples_used < 150_000
     with pytest.raises(ValueError):
         double_bootstrap(data, M=0)
     with pytest.raises(ValueError):
         double_bootstrap(data, first_stage=0)
+
+
+@pytest.mark.parametrize("construct, expected", [
+    (lambda data: bootstrap_pvalue(data, EngineConfig(seed=11)),
+     ("stopped", 18894, 18894)),
+    (lambda data: check_level(data, config=EngineConfig(seed=2)),
+     ("stopped", 1730, 1730)),
+    (lambda data: double_bootstrap(data, config=EngineConfig(seed=5, max_steps=150)),
+     ("truncated", 150, 18096)),
+    (lambda data: check_level_bootstrap(
+        data, M=50, config=EngineConfig(seed=3, max_steps=200)),
+     ("stopped", 75, 2565)),
+], ids=["bootstrap", "level", "double_bootstrap", "check_level_bootstrap"])
+def test_seeded_samples_used_pinned(data, construct, expected):
+    # seeded runs and their sample charges, pinned so that any change to the
+    # charging is seen
+    rep = construct(data)
+    assert (rep.result.status, rep.result.n, rep.samples_used) == expected
 
 
 # -- sample-size search -----------------------------------------------------

@@ -8,8 +8,7 @@ from seqpval.runner import (
     TRUNCATED,
     UPPER,
     BernoulliSampler,
-    CallbackSampler,
-    RunState,
+    RunResult,
     SamplerError,
     TextBitSource,
     get_table,
@@ -36,15 +35,6 @@ def first_lower_step(table, n_max=5000):
     raise AssertionError("no lower stop found")
 
 
-def test_step_semantics(default_table):
-    state = RunState(default_table)
-    assert state.step(0) is None
-    assert state.step(1) is None
-    assert (state.n, state.s) == (2, 1)
-    with pytest.raises(ValueError):
-        state.step(2)
-
-
 def test_all_ones_stops_at_tabulated_step(default_table):
     n_up = first_upper_step(default_table)
     res = run(default_table, iter([1] * 100))
@@ -57,21 +47,6 @@ def test_all_zeros_stops_at_tabulated_step(default_table):
     res = run(default_table, iter([0] * (n_lo + 100)))
     assert res.status == STOPPED and res.side == LOWER
     assert res.n == n_lo and res.s == 0
-
-
-def test_stepwise_agrees_with_batch(default_table):
-    bits = BernoulliSampler(0.2, seed=11).take(500)
-    state = RunState(default_table)
-    stepped = None
-    used = 0
-    for b in bits:
-        used += 1
-        stepped = state.step(int(b))
-        if stepped is not None:
-            break
-    batch = run(default_table, iter(int(b) for b in bits))
-    assert stepped == batch
-    assert batch.n == used
 
 
 def test_truncation(default_table):
@@ -103,8 +78,30 @@ def test_sampler_failure_wraps_partial_state(default_table):
         return 0
 
     with pytest.raises(SamplerError) as exc:
-        run(default_table, CallbackSampler(flaky), initial_chunk=16, max_chunk=16)
-    assert exc.value.n >= 16
+        run(default_table, iter(flaky, None), initial_chunk=16, max_chunk=16)
+    assert (exc.value.n, exc.value.s) == (40, 0)
+
+
+@pytest.mark.parametrize("bits", [[2] * 3, [-1] * 3, [0.7] * 300],
+                         ids=["two", "minus_one", "fraction"])
+def test_iterable_bits_must_be_zero_or_one(default_table, bits):
+    with pytest.raises(SamplerError) as exc:
+        run(default_table, iter(bits))
+    assert (exc.value.n, exc.value.s) == (0, 0)
+    assert isinstance(exc.value.__cause__, ValueError)
+
+
+@pytest.mark.parametrize("source", [
+    lambda n: iter([0] * n + [2]),
+    lambda n: TextBitSource(["0\n"] * n + ["x\n"]),
+], ids=["bad_bit", "bad_token"])
+def test_failure_after_the_stop_keeps_the_stop(default_table, source):
+    # the stop lies inside the chunk that holds the failure; chunks of one
+    # bit never reach the failure, and larger chunks must agree
+    n_lo = first_lower_step(default_table)
+    expected = RunResult(STOPPED, n_lo, 0, LOWER)
+    assert run(default_table, source(n_lo), initial_chunk=1, max_chunk=1) == expected
+    assert run(default_table, source(n_lo)) == expected
 
 
 def test_seeded_determinism(default_table):
@@ -120,31 +117,14 @@ def test_chunking_invariance(default_table):
     assert r1 == r2
 
 
-def test_pushback_returns_unconsumed_bits(default_table):
-    class Recorder:
-        def __init__(self):
-            self.given = 0
-            self.back = 0
-
-        def take(self, m):
-            self.given += m
-            return np.ones(m, dtype=np.int8)
-
-        def pushback(self, k):
-            self.back += k
-
-    rec = Recorder()
-    res = run(default_table, rec, initial_chunk=64, max_chunk=64)
-    assert res.side == UPPER
-    assert rec.given - rec.back == res.n
-
-
 def test_text_source(default_table):
     lines = ["0\n", " 1 \n", "\n", "0\n"]
-    src = TextBitSource(lines)
-    assert list(src.take(10)) == [0, 1, 0]
+    assert list(TextBitSource(lines)) == [0, 1, 0]
     with pytest.raises(ValueError):
-        TextBitSource(["2\n"]).take(1)
+        list(TextBitSource(["2\n"]))
+    with pytest.raises(SamplerError) as exc:
+        run(default_table, TextBitSource(["0\n", "x\n"]))
+    assert "invalid bit 'x'" in str(exc.value)
 
 
 def test_progress_reports(default_table):

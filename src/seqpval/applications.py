@@ -16,7 +16,6 @@ from fractions import Fraction
 from importlib import resources
 
 import numpy as np
-from scipy.special import gammaincc, xlogy
 
 from .boundary import BoundaryTable
 from .runner import LOWER, RunResult, get_table, interim_interval, run
@@ -112,6 +111,8 @@ def lrt_statistic(table: ContingencyTable) -> float:
 
 def _lrt_batch(counts: np.ndarray, n_total: int) -> np.ndarray:
     """Vectorized LRT over a batch of flattened tables (batch, rows, cols)."""
+    from scipy.special import xlogy  # slow to import; import on first use
+
     a = counts.astype(float)
     r = a.sum(axis=2, keepdims=True)
     c = a.sum(axis=1, keepdims=True)
@@ -127,6 +128,8 @@ def chisq_pvalue(t: float, df: int) -> float:
         raise ValueError(f"statistic must be >= 0, got {t}")
     if df < 1:
         raise ValueError(f"df must be >= 1, got {df}")
+    from scipy.special import gammaincc
+
     return float(gammaincc(df / 2.0, t / 2.0))
 
 
@@ -239,16 +242,19 @@ def bootstrap_pvalue(
 
 def check_level(
     data: ContingencyTable,
-    nominal_alpha: float = 0.05,
-    threshold_alpha: float = 0.05,
+    nominal_alpha: float | None = None,
+    threshold_alpha: float | None = None,
     config: EngineConfig | None = None,
 ) -> BootstrapReport:
     """Estimate the true level of the asymptotic test under the fitted null.
 
     Streams the indicator that the chi-square test at `nominal_alpha` rejects
-    on a null draw, and runs the engine against `threshold_alpha`.
+    on a null draw, and runs the engine against `threshold_alpha`; either
+    left as None is the config's alpha.
     """
     cfg = config if config is not None else EngineConfig()
+    nominal_alpha = cfg.alpha if nominal_alpha is None else nominal_alpha
+    threshold_alpha = cfg.alpha if threshold_alpha is None else threshold_alpha
     model = fit_independence(data)
     # rejection happens iff T >= upper-alpha chi-square quantile
     from scipy.stats import chi2
@@ -344,14 +350,19 @@ class _InnerLevelStream(_NestedStream):
 def check_level_bootstrap(
     data: ContingencyTable,
     M: int = 250,
-    outer_alpha: float = 0.05,
-    inner_alpha: float = 0.05,
+    outer_alpha: float | None = None,
+    inner_alpha: float | None = None,
     config: EngineConfig | None = None,
 ) -> BootstrapReport:
-    """Nested level check: outer sequential run over inner truncated runs."""
+    """Nested level check: outer sequential run over inner truncated runs.
+
+    `outer_alpha` and `inner_alpha` left as None are the config's alpha.
+    """
     if M < 1:
         raise ValueError(f"inner truncation M must be >= 1, got {M}")
     cfg = config if config is not None else EngineConfig()
+    outer_alpha = cfg.alpha if outer_alpha is None else outer_alpha
+    inner_alpha = cfg.alpha if inner_alpha is None else inner_alpha
     model = fit_independence(data)
     from scipy.stats import chi2
 

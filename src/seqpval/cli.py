@@ -159,6 +159,11 @@ def cmd_run(args) -> int:
     }
     if res.stopped and args.ci is not None:
         ci = confidence_interval(table, res, args.ci)
+        if not ci.certified:
+            low_lo, low_hi, high_lo, high_hi = ci.enclosure
+            print(f"warning: confidence interval not certified: endpoint enclosures of "
+                  f"width {low_hi - low_lo:.3g} and {high_hi - high_lo:.3g} at horizon "
+                  f"{ci.horizon}", file=sys.stderr)
         report["ci"] = {"beta": args.ci, "p_low": ci.p_low, "p_high": ci.p_high}
     if not res.stopped:
         from .runner import interim_interval

@@ -5,9 +5,11 @@ table.  The central tool is a forward lattice sweep of the partial-sum
 distribution under an arbitrary success rate p; because the boundaries are
 fixed, the same recursion that defines them under the null rate also yields
 the exact law of the stopped outcome (tau, S_tau) under any p, truncated at a
-horizon.  Truncated-horizon answers are always returned as certified
-brackets: a computed value plus the residual unstopped mass that could still
-fall either way.
+horizon.  Truncated-horizon answers are always returned as brackets that
+contain the exact answer: a computed value plus the residual unstopped mass
+that could still fall either way.  Risk brackets and confidence intervals
+extend their horizon up to a cap and then carry a `certified` flag that says
+whether the bracket got as narrow as its target; neither raises at the cap.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import xlog1py, xlogy
 
 from . import _native
 from .boundary import BoundaryTable
@@ -26,9 +27,10 @@ from .runner import LOWER, STOPPED, UPPER, RunResult, interim_interval
 SIDE_UPPER = 1
 SIDE_LOWER = -1
 
-
-class HorizonError(RuntimeError):
-    """A truncated-horizon computation could not be certified; raise the horizon."""
+RISK_RESIDUAL = 1e-8  # a risk bracket is certified when its residual is at most this
+CI_HORIZON = 200_000  # horizon of the counts a confidence interval builds itself
+CI_TOL = 1e-6  # bisection tolerance of confidence-interval endpoints
+CI_CERT_TOL = 1e-4  # an interval is certified when both enclosures are at most this wide
 
 
 # -- forward lattice sweep -------------------------------------------------
@@ -204,7 +206,7 @@ class RiskBound:
     """Bracket for the resampling risk at p.
 
     The true risk lies in [lower, upper] whatever the residual; `certified`
-    says whether the residual undercut the target the caller asked for.
+    says whether the residual is at most RISK_RESIDUAL.
     """
 
     p: float
@@ -219,17 +221,16 @@ def resampling_risk(
     table: BoundaryTable,
     p: float,
     horizon: int = 100_000,
-    auto_extend: bool = True,
-    target_residual: float = 1e-8,
     max_horizon: int = 8_000_000,
 ) -> RiskBound:
     """Bracket the probability of ending on the wrong side of alpha.
 
     The bracket's lower edge is the wrong-side stopped mass by the horizon;
     its upper edge adds the unstopped residual (which could still end wrong).
-    With auto_extend the horizon doubles until the residual undercuts
-    target_residual; at p = alpha this is disabled (the residual does not
-    vanish there - the expected stopping time is infinite at the threshold).
+    The horizon doubles, up to `max_horizon`, until the residual is at most
+    RISK_RESIDUAL; at p = alpha it does not (the residual does not vanish
+    there - the expected stopping time is infinite at the threshold).  A
+    bracket whose residual stays above RISK_RESIDUAL has `certified` False.
     """
     at_alpha = abs(p - table.alpha) < 1e-12
     h = horizon
@@ -237,17 +238,17 @@ def resampling_risk(
     st = _initial_state(p)
     wrong = 0.0
     while True:
-        st = _sweep(table, p, h, state=st, alive_floor=target_residual / 10.0, record=True)
+        st = _sweep(table, p, h, state=st, alive_floor=RISK_RESIDUAL / 10.0, record=True)
         mass = st.stops[3][st.stops[2] == wrong_side]
         if mass.size:
             # in sequence, as the last partial sum (np.sum would sum pairwise)
             wrong += float(np.cumsum(mass)[-1])
         residual = _alive_total(st)
-        if at_alpha or not auto_extend or residual <= target_residual or h >= max_horizon:
+        if at_alpha or residual <= RISK_RESIDUAL or h >= max_horizon:
             break
         h = min(2 * h, max_horizon)
     return RiskBound(p=p, lower=wrong, upper=wrong + residual, horizon=st.n, residual=residual,
-                     certified=residual <= target_residual)
+                     certified=residual <= RISK_RESIDUAL)
 
 
 def expected_stop_time(table: BoundaryTable, p: float, horizon: int) -> tuple[float, float]:
@@ -259,14 +260,9 @@ def expected_stop_time(table: BoundaryTable, p: float, horizon: int) -> tuple[fl
     st = _sweep(table, p, horizon)
     residual = _alive_total(st)
     # sum_alive includes the alive total after step `horizon`; the truncated
-    # expectation needs terms n = 0 .. horizon-1 only
-    value = 1.0 + st.sum_alive - residual
-    if st.n < horizon:
-        # recursion exited early on exact-zero alive mass; the missing terms
-        # are all zero
-        value = 1.0 + st.sum_alive
-        residual = 0.0
-    return value, residual
+    # expectation needs terms n = 0 .. horizon-1 only (a sweep that exits
+    # early has alive total 0.0, so the missing terms are zero too)
+    return 1.0 + st.sum_alive - residual, residual
 
 
 def naive_risk(p: float, n: int, alpha: float) -> float:
@@ -344,6 +340,8 @@ class StoppingCounts:
         """Stopped-outcome probabilities under p, aligned with tau/s/side."""
         if not (0.0 <= p <= 1.0):
             raise ValueError(f"p must be in [0, 1], got {p}")
+        from scipy.special import xlog1py, xlogy  # slow to import; import on first use
+
         logw = self.log_count + xlogy(self._s_f, p) + xlog1py(self._f_f, -p)
         return np.exp(logw)
 
@@ -429,9 +427,7 @@ def _bisect_mono(f, target: float, lo: float, hi: float, increasing: bool, tol: 
     return 0.5 * (lo + hi)
 
 
-def _certified_root(
-    g_stopped, target: float, increasing: bool, tol: float
-) -> tuple[float, float]:
+def _certified_root(g_stopped, target: float, increasing: bool) -> tuple[float, float]:
     """Enclose the root of a monotone probability with bracketed truncation error.
 
     `g_stopped(p)` returns (stopped event mass, residual); the true value lies
@@ -451,11 +447,11 @@ def _certified_root(
         return m + r
 
     if increasing:
-        r1 = _bisect_mono(g_hi, target, 0.0, 1.0, True, tol)
-        r2 = _bisect_mono(g_lo, target, 0.0, 1.0, True, tol)
+        r1 = _bisect_mono(g_hi, target, 0.0, 1.0, True, CI_TOL)
+        r2 = _bisect_mono(g_lo, target, 0.0, 1.0, True, CI_TOL)
     else:
-        r1 = _bisect_mono(g_lo, target, 0.0, 1.0, False, tol)
-        r2 = _bisect_mono(g_hi, target, 0.0, 1.0, False, tol)
+        r1 = _bisect_mono(g_lo, target, 0.0, 1.0, False, CI_TOL)
+        r2 = _bisect_mono(g_hi, target, 0.0, 1.0, False, CI_TOL)
     return (min(r1, r2), max(r1, r2))
 
 
@@ -463,11 +459,7 @@ def confidence_interval(
     table: BoundaryTable,
     observed: RunResult,
     beta: float,
-    horizon: int = 200_000,
     counts: StoppingCounts | None = None,
-    tol: float = 1e-6,
-    cert_tol: float = 1e-4,
-    auto_extend: bool = True,
     max_horizon: int = 4_000_000,
 ) -> ConfidenceInterval:
     """Exact 1-beta confidence interval for p from a stopped run.
@@ -475,17 +467,20 @@ def confidence_interval(
     Endpoints solve the tail equations P_p(p_hat >= p_obs) = beta/2 (lower)
     and P_p(p_hat <= p_obs) = beta/2 (upper), each by bisection with the
     unstopped residual mass allocated adversarially in both directions; the
-    returned endpoints are the outer edges of the two enclosures, and
-    `certified` records whether both enclosures were narrower than cert_tol.
-    Estimates are compared as exact rationals s*den >= num*tau, ties included
-    in the observed-or-larger event.
+    returned endpoints are the outer edges of the two enclosures, so the
+    interval contains the exact one whatever the horizon.  The counts (built
+    at CI_HORIZON when not given, and extended in place) double, up to
+    `max_horizon`, until both enclosures are at most CI_CERT_TOL wide;
+    `certified` records whether they got there.  Estimates are compared as
+    exact rationals s*den >= num*tau, ties included in the observed-or-larger
+    event.
     """
     if not (0.0 < beta < 1.0):
         raise ValueError(f"beta must be in (0, 1), got {beta}")
     if observed.status != STOPPED:
         raise ValueError("confidence_interval needs a stopped run; see the running variant")
     num, den = observed.s, observed.n
-    cts = counts if counts is not None else StoppingCounts(table, horizon)
+    cts = counts if counts is not None else StoppingCounts(table, CI_HORIZON)
     target = beta / 2.0
     while True:
         ge_mask = cts.estimate_ge_mask(num, den)
@@ -493,25 +488,16 @@ def confidence_interval(
         if num == 0:
             low_enc = (0.0, 0.0)
         else:
-            low_enc = _certified_root(
-                lambda p: cts.event_mass(p, ge_mask), target, increasing=True, tol=tol
-            )
+            low_enc = _certified_root(lambda p: cts.event_mass(p, ge_mask), target, True)
         if num == den:
             high_enc = (1.0, 1.0)
         else:
-            high_enc = _certified_root(
-                lambda p: cts.event_mass(p, le_mask), target, increasing=False, tol=tol
-            )
+            high_enc = _certified_root(lambda p: cts.event_mass(p, le_mask), target, False)
         widths = (low_enc[1] - low_enc[0], high_enc[1] - high_enc[0])
-        certified = max(widths) <= cert_tol
-        if certified or not auto_extend or cts.horizon >= max_horizon:
+        certified = max(widths) <= CI_CERT_TOL
+        if certified or cts.horizon >= max_horizon:
             break
         cts.extend(min(2 * cts.horizon, max_horizon))
-    if not certified and auto_extend:
-        raise HorizonError(
-            f"confidence interval not certified at horizon {cts.horizon}: "
-            f"enclosure widths {widths}; increase the horizon cap"
-        )
     return ConfidenceInterval(
         p_low=low_enc[0],
         p_high=high_enc[1],
@@ -528,9 +514,7 @@ def confidence_interval_running(
     table: BoundaryTable,
     n: int,
     beta: float,
-    horizon: int = 200_000,
     counts: StoppingCounts | None = None,
-    tol: float = 1e-6,
 ) -> tuple[float, float]:
     """Conservative interval available before stopping.
 
@@ -542,7 +526,7 @@ def confidence_interval_running(
     if not (0.0 < beta < 1.0):
         raise ValueError(f"beta must be in (0, 1), got {beta}")
     p_min, p_max = interim_interval(table, n)
-    cts = counts if counts is not None else StoppingCounts(table, horizon)
+    cts = counts if counts is not None else StoppingCounts(table, CI_HORIZON)
     target = beta / 2.0
 
     def g_hi(mask):
@@ -555,10 +539,10 @@ def confidence_interval_running(
         p_low = 0.0
     else:
         ge = (cts.s >= p_min * cts.tau).astype(float)
-        p_low = _bisect_mono(g_hi(ge), target, 0.0, 1.0, True, tol)
+        p_low = _bisect_mono(g_hi(ge), target, 0.0, 1.0, True, CI_TOL)
     if p_max >= 1.0:
         p_high = 1.0
     else:
         le = (cts.s <= p_max * cts.tau).astype(float)
-        p_high = _bisect_mono(g_hi(le), target, 0.0, 1.0, False, tol)
+        p_high = _bisect_mono(g_hi(le), target, 0.0, 1.0, False, CI_TOL)
     return (p_low, p_high)

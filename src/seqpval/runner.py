@@ -119,13 +119,7 @@ class _IterSource:
 
 # -- interim intervals -----------------------------------------------------
 
-
-def interim_interval(
-    table: BoundaryTable,
-    n: int,
-    window: int | None = None,
-    max_growth: int = 64,
-) -> tuple[float, float]:
+def interim_interval(table: BoundaryTable, n: int) -> tuple[float, float]:
     """Hull of the stop estimates S_tau/tau still reachable after step n.
 
     A run alive at n stops at some nu > n.  S moves by at most one per step
@@ -139,20 +133,21 @@ def interim_interval(
     Beyond the scanned window the Chernoff envelope [q_lo - 1/m, q_hi + 1/m]
     at the window end m takes over (see ``BoundaryTable.chernoff_rates``):
     it bounds every stop estimate after m as long as the envelope narrows
-    with m, as it does for the default spending sequence.  The window grows
-    (doubling) until that envelope lies inside the scanned extremes, so the
-    result does not depend on `window`.  If it never does within
-    `max_growth` doublings, the trivially sound (0, 1) is returned.
+    with m, as it does for the default spending sequence.  The window starts
+    at ceil(2/alpha) steps and doubles until that envelope lies inside the
+    scanned extremes, so the result does not depend on the first window.  If
+    it never does within 64 doublings, the trivially sound (0, 1) is
+    returned.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     alpha = table.alpha
-    win = window if window is not None else max(1, math.ceil(2.0 / alpha))
+    win = max(1, math.ceil(2.0 / alpha))
     w_hi = -math.inf
     w_lo = math.inf
     lo_done = hi_done = False
     scanned = n  # last nu already included in the extremes (nu = n never stops)
-    for _ in range(max_growth):
+    for _ in range(64):
         m = scanned + win
         table.extend(m)
         nu = np.arange(scanned + 1, m + 1, dtype=float)

@@ -129,13 +129,11 @@ class SpendingReport:
         return not self.flags
 
 
-def validate_spending(
-    seq: SpendingSequence, horizon: int, decay_threshold: float = 0.5, burn_in: int = 100
-) -> SpendingReport:
+def validate_spending(seq: SpendingSequence, horizon: int) -> SpendingReport:
     """Check that -log(eps_n - eps_{n-1}) grows sub-linearly up to `horizon`.
 
     Flags every n <= horizon whose increment is non-positive, and every
-    n > burn_in whose increment decays faster than exp(-n * decay_threshold)
+    n > 100 whose increment decays faster than exp(-n/2)
     (small n are skipped: any schedule has -log(inc)/n large there, and only
     the asymptotic rate matters for the interim half-width delta_n/n -> 0).
     Flagged sequences are still usable (the boundary definition never divides
@@ -150,8 +148,6 @@ def validate_spending(
         inc = incs[n - 1]
         if inc <= 0.0:
             flags.append((n, "non-positive increment (delta_n is infinite)"))
-        elif n > burn_in and -math.log(inc) / n > decay_threshold:
-            flags.append((n, f"increment decays faster than exp(-{decay_threshold}*n)"))
-    return SpendingReport(
-        horizon=horizon, increments=incs, flags=tuple(flags), threshold=decay_threshold
-    )
+        elif n > 100 and -math.log(inc) / n > 0.5:
+            flags.append((n, "increment decays faster than exp(-0.5*n)"))
+    return SpendingReport(horizon=horizon, increments=incs, flags=tuple(flags), threshold=0.5)

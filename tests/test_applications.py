@@ -231,6 +231,14 @@ def test_check_level_sides(data):
     assert far.result.n < 200
 
 
+def test_check_level_alphas_default_to_config(data):
+    from scipy.stats import chi2
+
+    rep = check_level(data, config=EngineConfig(seed=2, alpha=0.1))
+    assert rep.chisq_p == 0.1
+    assert rep.statistic == chi2.ppf(0.9, data.df)
+
+
 def test_check_level_bootstrap_nested(data):
     rep = check_level_bootstrap(data, M=50, config=EngineConfig(seed=3, max_steps=200))
     n = rep.result.n

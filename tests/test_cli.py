@@ -107,6 +107,29 @@ def test_run_with_ci():
     assert rec["ci"]["p_low"] < rec["p_hat"] < rec["ci"]["p_high"]
 
 
+def test_run_with_uncertified_ci_warns(monkeypatch):
+    # small counts and cap leave the interval uncertified: it is still
+    # reported, with one warning on stderr, and the exit code is the run's
+    from seqpval import cli
+    from seqpval.inference import StoppingCounts
+
+    real = cli.confidence_interval
+
+    def capped(table, res, beta):
+        return real(table, res, beta, counts=StoppingCounts(table, 2000), max_horizon=4000)
+
+    monkeypatch.setattr(cli, "confidence_interval", capped)
+    code, out, err = invoke(["run", "--simulate-p", "0.03", "--seed", "3", "--ci", "0.1",
+                             "--report-seconds", "1e9"])
+    assert code == EXIT_OK
+    rec = json.loads(out)
+    assert rec["status"] == "stopped"
+    assert rec["ci"]["p_low"] <= rec["p_hat"] <= rec["ci"]["p_high"]
+    (line,) = err.splitlines()
+    assert line.startswith("warning: confidence interval not certified")
+    assert "at horizon 4000" in line
+
+
 def test_run_invalid_bits_runtime_error():
     code, _, err = invoke(["run"], stdin_text="0\nx\n")
     assert code == EXIT_RUNTIME

@@ -117,8 +117,11 @@ def test_naive_risk_threshold_sides():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs most of the import time; naive_risk loads it on use
-    code = ("import sys, seqpval, seqpval.cli; assert 'scipy.stats' not in sys.modules; "
+    # scipy.stats and scipy.special cost most of the import time; the
+    # functions that need them load them on use
+    code = ("import sys, seqpval, seqpval.cli; "
+            "assert 'scipy.stats' not in sys.modules and 'scipy.special' not in sys.modules; "
+            "seqpval.chisq_pvalue(3.0, 2); assert 'scipy.special' in sys.modules; "
             "seqpval.naive_risk(0.3, 999, 0.05); assert 'scipy.stats' in sys.modules")
     subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
 
@@ -140,7 +143,7 @@ def test_risk_far_from_threshold_is_tiny(default_table):
 
 
 def test_risk_at_threshold_reports_residual(default_table):
-    rb = resampling_risk(default_table, 0.05, horizon=5000, auto_extend=True)
+    rb = resampling_risk(default_table, 0.05, horizon=5000)
     # no doubling at p = alpha: the residual mass does not vanish there
     assert rb.horizon <= 5000
     assert rb.residual > 0.1
@@ -149,6 +152,26 @@ def test_risk_at_threshold_reports_residual(default_table):
     capped = resampling_risk(default_table, 0.0508, horizon=1000, max_horizon=4000)
     assert capped.horizon == 4000
     assert capped.residual > 1e-8 and not capped.certified
+
+
+# (value, residual) at horizon 20,000, as computed while expected_stop_time still
+# special-cased a sweep that ends early; every p but 0.01, 0.03, 0.075 and 0.12
+# ends the sweep early, on an alive total of 0.0
+@pytest.mark.parametrize("p, expected", [
+    (0.0, (173.0, 0.0)),
+    (0.001, (184.25223474472466, 0.0)),
+    (0.01, (323.66069308186985, 1.830805820772085e-271)),
+    (0.03, (1557.7814143046248, 3.098658180507982e-26)),
+    (0.075, (1301.8183214113644, 6.1636729352294945e-25)),
+    (0.12, (216.3364225545175, 5.4207518507659585e-202)),
+    (0.2, (65.56579988216872, 0.0)),
+    (0.3, (30.74083981529908, 0.0)),
+    (0.5, (13.075601499606211, 0.0)),
+    (0.9, (5.584416920168089, 0.0)),
+    (1.0, (5.0, 0.0)),
+])
+def test_expected_stop_time_pinned(default_table, p, expected):
+    assert expected_stop_time(default_table, p, 20_000) == expected
 
 
 def test_wald_lower_bound_arithmetic():
@@ -326,6 +349,21 @@ def test_ci_rejects_truncated_runs(default_table, counts):
         confidence_interval(
             default_table, RunResult(STOPPED, 87, 10, "upper"), beta=1.5, counts=counts
         )
+
+
+def test_ci_at_its_cap_is_returned_uncertified(default_table):
+    # near alpha a horizon of 4000 leaves both enclosures wide; the interval
+    # comes back flagged, and it contains the certified one, since the
+    # enclosures nest as the horizon grows
+    res = RunResult(STOPPED, 2422, 93, "upper")
+    capped = confidence_interval(default_table, res, beta=0.1,
+                                 counts=StoppingCounts(default_table, 2000), max_horizon=4000)
+    assert capped.certified is False
+    assert capped.horizon == 4000
+    exact = confidence_interval(default_table, res, beta=0.1,
+                                counts=StoppingCounts(default_table, 50_000))
+    assert exact.certified
+    assert capped.p_low < exact.p_low < exact.p_high < capped.p_high
 
 
 def test_running_ci_contains_stopped_ci(default_table, counts):

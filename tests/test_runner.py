@@ -175,13 +175,6 @@ def test_interim_intervals_shrink(default_table):
     assert widths[0] > widths[1] > widths[2]
 
 
-def test_interim_nested_windows_agree(default_table):
-    a = interim_interval(default_table, 1000, window=50)
-    b = interim_interval(default_table, 1000, window=5000)
-    assert a[0] == pytest.approx(b[0], abs=1e-12)
-    assert a[1] == pytest.approx(b[1], abs=1e-12)
-
-
 def hugging_bits(table, n, side):
     """n bits keeping S one step inside the lower (or upper) boundary."""
     table.extend(n)

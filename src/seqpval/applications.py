@@ -5,12 +5,15 @@ its chi-square asymptotic p-value, a parametric bootstrap under the fitted
 independence model driven by the sequential procedure, level checks of the
 asymptotic test, the double bootstrap, and a sample-size search.  Each
 workflow reports as `samples_used` the null draws its runs consumed, computed
-from their results, so that total-cost comparisons are exact.
+from their results, so that total-cost comparisons are exact, and as
+`samples_drawn` every null draw it made, including those no run consumed.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -36,10 +39,15 @@ class ContingencyTable:
         c = np.asarray(self.counts)
         if c.ndim != 2 or c.size == 0:
             raise DataError("counts must be a non-empty 2-d array")
-        if np.any(c < 0) or not np.issubdtype(c.dtype, np.integer):
-            c = np.asarray(self.counts, dtype=np.int64)
-            if np.any(c < 0):
-                raise DataError("counts must be non-negative integers")
+        if not np.issubdtype(c.dtype, np.integer):
+            try:
+                c = np.asarray(c, dtype=float)
+            except (TypeError, ValueError):
+                raise DataError("counts must be non-negative integers") from None
+            if not np.all(np.isfinite(c) & (c == np.floor(c))):
+                raise DataError("counts must be non-negative integers, without fractions")
+        if np.any(c < 0):
+            raise DataError("counts must be non-negative integers")
         c = c.astype(np.int64)
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
@@ -92,8 +100,21 @@ def fit_independence(table: ContingencyTable) -> NullModel:
     n = table.total
     if n == 0:
         raise DataError("cannot fit a null model to an all-zero table")
-    q = np.outer(table.row_sums, table.col_sums) / float(n * n)
-    return NullModel(cell_probs=q, total=n)
+    return _independence(table.row_sums, table.col_sums, n)
+
+
+def _independence(row_sums: np.ndarray, col_sums: np.ndarray, total: int) -> NullModel:
+    """The fit q = r c^T / N^2 of margins that sum to `total` > 0.
+
+    Its cells sum to 1 by construction, so the model is built without the
+    constructor's check: inner runs of the double bootstrap refit one per
+    outer bit.
+    """
+    q = np.multiply.outer(row_sums, col_sums) / float(total * total)
+    q.setflags(write=False)
+    model = object.__new__(NullModel)
+    model.__dict__.update(cell_probs=q, total=total)
+    return model
 
 
 def lrt_statistic(table: ContingencyTable) -> float:
@@ -101,7 +122,8 @@ def lrt_statistic(table: ContingencyTable) -> float:
 
     h_ij = r_i c_j / N is the independence fit; cells with a_ij = 0 (and in
     particular whole zero rows/columns) contribute 0 by the 0 log 0 = 0
-    convention.
+    convention.  The value is the one ``_lrt_batch`` gives the table in any
+    batch.
     """
     n = table.total
     if n == 0:
@@ -109,17 +131,67 @@ def lrt_statistic(table: ContingencyTable) -> float:
     return float(_lrt_batch(table.counts[None], n)[0])
 
 
-def _lrt_batch(counts: np.ndarray, n_total: int) -> np.ndarray:
-    """Vectorized LRT over a batch of flattened tables (batch, rows, cols)."""
-    from scipy.special import xlogy  # slow to import; import on first use
+#: totals N whose k log k tables stay cached, 8 (N + 1) bytes each
+_XLOGX_CACHED = 4
 
-    a = counts.astype(float)
-    r = a.sum(axis=2, keepdims=True)
-    c = a.sum(axis=1, keepdims=True)
-    h = r * c / float(n_total)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(h > 0.0, a / np.where(h > 0.0, h, 1.0), 1.0)
-        return 2.0 * xlogy(a, ratio).sum(axis=(1, 2))
+
+@functools.lru_cache(maxsize=_XLOGX_CACHED)
+def _xlogx(n_total: int) -> np.ndarray:
+    """Read-only k log k for k = 0..n_total, with 0 log 0 = 0."""
+    k = np.arange(1, n_total + 1, dtype=float)
+    out = np.zeros(n_total + 1)
+    out[1:] = k * np.log(k)
+    out.setflags(write=False)
+    return out
+
+
+def _lrt_batch(counts: np.ndarray, n_total: int) -> np.ndarray:
+    """LRT of each table of a (batch, rows, cols) integer array, every table
+    summing to n_total.
+
+    T = 2 (sum_ij x(a_ij) - sum_i x(r_i) - sum_j x(c_j) + x(N)) with
+    x(k) = k log k read from a cached table, so T is a function of the
+    counts alone and a table gets the same value at any place in any batch.
+    """
+    x = _xlogx(n_total)
+    cells = x[counts.reshape(counts.shape[0], -1)].sum(axis=1)
+    rows = x[counts.sum(axis=2)].sum(axis=1)
+    cols = x[counts.sum(axis=1)].sum(axis=1)
+    return 2.0 * (cells - rows - cols + x[n_total])
+
+
+def _lrt_rounding_bound(shape: tuple, n_total: int) -> float:
+    """A bound on |computed T - exact T| for ``_lrt_batch`` on tables of this
+    shape and total: (cells + rows + cols + 32) 2^-52 N log N.
+
+    With u = 2^-53: each x(k) is k * log(k) with np.log taken to be within
+    2 ulps, so its relative error is at most 5u (plus O(u^2)), as
+    ulp(y) <= 2u|y|.  The
+    three sums add m >= 1 non-negative terms whose exact total is at most
+    N log N (a log a <= a log N), so each is off by at most (m + 5)u N log N;
+    x(N) by 5u N log N.  The two subtractions and the addition round
+    values of magnitude at most 2 N log N, adding at most 6u N log N.  So
+    T / 2 is off by at most (cells + rows + cols + 26)u N log N, and the
+    margin of 6 covers the O(u^2) terms.
+    """
+    rows, cols = shape
+    if n_total < 2:
+        return 0.0  # every x(k) is 0, exactly
+    return (rows * cols + rows + cols + 32) * 2.0**-52 * n_total * math.log(n_total)
+
+
+def _reaches(stats: np.ndarray, t_ref: float, model: NullModel) -> np.ndarray:
+    """The tie rule: whether each null statistic counts as T* >= t_ref.
+
+    ``stats`` are computed by ``_lrt_batch``, and so is ``t_ref`` when it is
+    an observed statistic; each is within ``_lrt_rounding_bound`` of its
+    exact value.  A draw counts when T* >= t_ref - delta with delta twice
+    that bound, so a draw whose exact statistic equals or exceeds the exact
+    t_ref always counts, whatever the two roundings.  (Rounding t_ref -
+    delta moves it by at most 2u N log N, inside the bound's margin.)
+    """
+    delta = 2.0 * _lrt_rounding_bound(model.cell_probs.shape, model.total)
+    return stats >= t_ref - delta
 
 
 def chisq_pvalue(t: float, df: int) -> float:
@@ -148,9 +220,10 @@ def sample_null_batch(model: NullModel, rng: np.random.Generator, size: int) -> 
 
 
 class NullStatStream:
-    """Bit source 1{T(sample) >= t_ref} over fresh null draws.
+    """Bit source 1{T(sample) >= t_ref} over fresh null draws, ties decided
+    by ``_reaches``.
 
-    ``take(m)`` draws exactly m tables.  The rows of
+    ``take(m)`` draws exactly m tables, and ``drawn`` counts them.  The rows of
     ``Generator.multinomial`` do not depend on how the draws are batched, so
     the bit sequence is the same whatever chunks the run asks for.  A run
     over the stream consumes one table per step, so its ``n`` is its cost.
@@ -160,10 +233,13 @@ class NullStatStream:
         self.model = model
         self.t_ref = t_ref
         self.rng = rng
+        self.drawn = 0
 
     def take(self, m: int) -> np.ndarray:
         tables = sample_null_batch(self.model, self.rng, m)
-        return (_lrt_batch(tables, self.model.total) >= self.t_ref).astype(np.int8)
+        self.drawn += m
+        stats = _lrt_batch(tables, self.model.total)
+        return _reaches(stats, self.t_ref, self.model).astype(np.int8)
 
 
 # -- engine configuration ---------------------------------------------------
@@ -192,6 +268,7 @@ class BootstrapReport:
     chisq_p: float
     result: RunResult
     samples_used: int
+    samples_drawn: int  # null draws made, consumed or not
     interim: tuple | None = None
 
     def to_json_dict(self) -> dict:
@@ -205,6 +282,7 @@ class BootstrapReport:
                 "status": self.result.status,
             },
             "samples_used": self.samples_used,
+            "samples_drawn": self.samples_drawn,
         }
         if self.interim is not None:
             out["interim"] = {"p_min": self.interim[0], "p_max": self.interim[1]}
@@ -236,6 +314,7 @@ def bootstrap_pvalue(
         chisq_p=chisq_pvalue(t_obs, data.df),
         result=res,
         samples_used=res.n,
+        samples_drawn=stream.drawn,
         interim=interim,
     )
 
@@ -267,6 +346,7 @@ def check_level(
         chisq_p=nominal_alpha,
         result=res,
         samples_used=res.n,
+        samples_drawn=stream.drawn,
     )
 
 
@@ -313,7 +393,9 @@ class _NestedStream:
     Subclasses build the inner bit source of one outer bit in
     ``_inner_stream``.  ``costs`` holds, for every outer bit taken, the
     samples it consumed: its inner run's n plus ``outer_draws``.  An outer
-    run that consumed n bits cost ``sum(costs[:n])``.
+    run that consumed n bits cost ``sum(costs[:n])``.  ``drawn`` counts the
+    null draws of every outer bit taken: its inner stream's and its outer
+    draws.
     """
 
     outer_draws = 0  # null draws per outer bit besides its inner run's
@@ -322,12 +404,15 @@ class _NestedStream:
         self.bounds = bounds
         self.rng = rng
         self.costs: list[int] = []
+        self.drawn = 0
 
     def take(self, m: int) -> np.ndarray:
         out = np.empty(m, dtype=np.int8)
         for i in range(m):
-            out[i], n = _truncated_indicator(self.bounds, self._inner_stream())
+            inner = self._inner_stream()
+            out[i], n = _truncated_indicator(self.bounds, inner)
             self.costs.append(n + self.outer_draws)
+            self.drawn += inner.drawn + self.outer_draws
         return out
 
 
@@ -377,6 +462,7 @@ def check_level_bootstrap(
     return BootstrapReport(
         statistic=t_crit, chisq_p=inner_alpha, result=res,
         samples_used=sum(stream.costs[:res.n]),
+        samples_drawn=stream.drawn,
     )
 
 
@@ -395,8 +481,11 @@ class _DoubleBootstrapStream(_NestedStream):
         self.model = model
 
     def _inner_stream(self) -> NullStatStream:
-        a_i = sample_null(self.model, self.rng)
-        return NullStatStream(fit_independence(a_i), lrt_statistic(a_i), self.rng.spawn(1)[0])
+        # the same draw as sample_null, without building a ContingencyTable
+        a_i = sample_null_batch(self.model, self.rng, 1)
+        n = self.model.total
+        refit = _independence(a_i[0].sum(axis=1), a_i[0].sum(axis=0), n)
+        return NullStatStream(refit, float(_lrt_batch(a_i, n)[0]), self.rng.spawn(1)[0])
 
 
 def double_bootstrap(
@@ -422,8 +511,7 @@ def double_bootstrap(
     model = fit_independence(data)
     rng = cfg.rng()
     tables = sample_null_batch(model, rng, first_stage)
-    stats = _lrt_batch(tables, model.total)
-    hits = int(np.count_nonzero(stats >= t_obs))
+    hits = int(np.count_nonzero(_reaches(_lrt_batch(tables, model.total), t_obs, model)))
     if not (0 < hits < first_stage):
         raise ValueError(
             f"first-stage estimate p1={hits}/{first_stage} is degenerate; "
@@ -439,6 +527,7 @@ def double_bootstrap(
         chisq_p=chisq_pvalue(t_obs, data.df),
         result=res,
         samples_used=first_stage + sum(stream.costs[:res.n]),
+        samples_drawn=first_stage + stream.drawn,
     )
 
 

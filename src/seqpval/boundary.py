@@ -57,6 +57,11 @@ def _bernoulli_kl(q: float, a: float) -> float:
     return out
 
 
+#: BoundaryTable's per-step arrays, indexed by n, and their dtypes
+_STEP_ARRAYS = (("_upper", np.int64), ("_lower", np.int64), ("_hit_upper", np.float64),
+                ("_hit_lower", np.float64), ("_eps", np.float64))
+
+
 def conservation_tolerance(n: int) -> float:
     return DRIFT_PER_10K * max(1.0, n / 1e4)
 
@@ -74,12 +79,7 @@ class BoundaryTable:
             raise ValueError(f"alpha must be in (0, 1), got {alpha}")
         self.alpha = float(alpha)
         self.spending = spending
-        cap = 1024
-        self._upper = np.zeros(cap, dtype=np.int64)
-        self._lower = np.zeros(cap, dtype=np.int64)
-        self._hit_upper = np.zeros(cap)
-        self._hit_lower = np.zeros(cap)
-        self._eps = np.zeros(cap)  # eps_n at index n, for each step extend computed
+        self._allocate(1024)
         # seed state after step 1: U_1 = 2, L_1 = -1, S_1 ~ Bernoulli(alpha)
         self._upper[1] = 2
         self._lower[1] = -1
@@ -182,16 +182,22 @@ class BoundaryTable:
 
     # -- extension ---------------------------------------------------------
 
+    def _allocate(self, cap: int):
+        """(Re)allocate the per-step arrays at capacity `cap`, keeping their
+        rows, and record their addresses for kernel calls."""
+        for name, dtype in _STEP_ARRAYS:
+            arr = np.zeros(cap, dtype=dtype)
+            old = getattr(self, name, None)
+            if old is not None:
+                arr[: old.size] = old
+            setattr(self, name, arr)
+        self._addresses = tuple(_native.ptr(getattr(self, name), dtype)
+                                for name, dtype in _STEP_ARRAYS)
+
     def _grow(self, n_target: int):
         cap = self._upper.size
-        if n_target + 1 <= cap:
-            return
-        new_cap = max(cap * 2, n_target + 1)
-        for name in ("_upper", "_lower", "_hit_upper", "_hit_lower", "_eps"):
-            old = getattr(self, name)
-            arr = np.zeros(new_cap, dtype=old.dtype)
-            arr[: old.size] = old
-            setattr(self, name, arr)
+        if n_target + 1 > cap:
+            self._allocate(max(cap * 2, n_target + 1))
 
     def extend(self, n_target: int) -> "BoundaryTable":
         """Extend the boundary arrays through step n_target (no-op if shorter).
@@ -211,17 +217,17 @@ class BoundaryTable:
             self._grow(n_target)
             self._eps[self.n_max + 1 : n_target + 1] = self.spending.values(
                 n_target, start=self.n_max + 1)
-            eps = self._eps[1:]  # eps[n - 1] is the budget of step n
             kern = _native.kernel()
             if kern is None:
-                self._extend_numpy(n_target, eps)
+                self._extend_numpy(n_target)
             else:
-                self._extend_kernel(kern, n_target, eps)
+                self._extend_kernel(kern, n_target)
             self.n_max = n_target
         return self
 
-    def _extend_numpy(self, n_target: int, eps: np.ndarray):
+    def _extend_numpy(self, n_target: int):
         """The reference recursion, one numpy step per boundary step."""
+        eps = self._eps[1:]  # eps[n - 1] is the budget of step n
         alpha = self.alpha
         alive = self._alive
         off = self._alive_offset
@@ -266,18 +272,22 @@ class BoundaryTable:
         self._hu = hu
         self._hl = hl
 
-    def _extend_kernel(self, kern, n_target: int, eps: np.ndarray):
-        """The same recursion in the compiled kernel (``_kernel.c``)."""
+    def _extend_kernel(self, kern, n_target: int):
+        """The same recursion in the compiled kernel (``_kernel.c``).
+
+        The kernel writes the per-step arrays through the addresses
+        ``_allocate`` recorded; they stay valid because the arrays are only
+        reallocated under the lock this runs under.
+        """
         f64, i64, ptr = np.float64, np.int64, _native.ptr
-        # the kernel writes through these; hold them for the whole call
-        upper, lower = self._upper, self._lower
-        hit_u, hit_l = self._hit_upper, self._hit_lower
+        upper, lower, hit_u, hit_l, eps = self._addresses
+        eps += np.dtype(f64).itemsize  # eps_1 is at index 1
         buf, st = _native.work_buffer(self._alive, self.n_max, self._alive_offset)
         h = np.array([self._hu, self._hl])
         while True:
             rc = kern.seqpval_boundary(
-                ptr(buf, f64), buf.size, ptr(st, i64), ptr(h, f64), self.alpha, ptr(eps, f64),
-                int(n_target), ptr(upper, i64), ptr(lower, i64), ptr(hit_u, f64), ptr(hit_l, f64),
+                ptr(buf, f64), buf.size, ptr(st, i64), ptr(h, f64), self.alpha, eps,
+                int(n_target), upper, lower, hit_u, hit_l,
             )
             if rc != _native.ROOM:
                 break

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from seqpval.applications import (
     fit_independence,
     lrt_statistic,
     sample_null,
+    sample_null_batch,
 )
 from seqpval.runner import BernoulliSampler, get_table, run
 
@@ -45,6 +47,24 @@ def test_contingency_table_validation():
         ContingencyTable(np.array([1, 2, 3]))
     with pytest.raises(DataError):
         lrt_statistic(ContingencyTable(np.zeros((2, 2), dtype=int)))
+
+
+@pytest.mark.parametrize("counts", [
+    [[1.5, 2.7], [3.0, 4.0]],
+    [[1.0, np.nan], [3.0, 4.0]],
+    [[1.0, np.inf], [3.0, 4.0]],
+    [[1.0, 2.0], [3.0, -4.0]],
+    [["a", "b"], ["c", "d"]],
+])
+def test_contingency_table_rejects_non_integral_counts(counts):
+    with pytest.raises(DataError):
+        ContingencyTable(np.array(counts))
+
+
+def test_contingency_table_accepts_integral_floats():
+    tab = ContingencyTable(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    assert tab.counts.dtype == np.int64
+    assert tab.counts.tolist() == [[1, 2], [3, 4]]
 
 
 def test_lrt_chisq_anchor(data):
@@ -80,6 +100,123 @@ def test_lrt_zero_margins_contribute_nothing(data):
     assert lrt_statistic(ContingencyTable(padded)) == pytest.approx(
         lrt_statistic(data), rel=1e-12
     )
+
+
+def _permutations(counts):
+    """Every row/column permutation of a table, in blocks: all column
+    permutations of one row permutation each."""
+    rows, cols = counts.shape
+    col_perms = np.array(list(itertools.permutations(range(cols))))
+    for rp in itertools.permutations(range(rows)):
+        yield counts[list(rp)][:, col_perms].transpose(1, 0, 2)
+
+
+def _tie_tables():
+    rng = np.random.default_rng(4)
+    tables = [example_table().counts]
+    for rows, cols, total in ((2, 3, 17), (3, 4, 200), (3, 4, 10**5), (4, 4, 10**6)):
+        q = rng.dirichlet(np.ones(rows * cols))
+        tables.append(rng.multinomial(total, q).reshape(rows, cols))
+    return tables
+
+
+@pytest.mark.parametrize("counts", _tie_tables(), ids=lambda c: f"{c.shape}_N{c.sum()}")
+def test_every_permutation_counts_as_reaching_the_statistic(counts):
+    # a table's row/column permutations have exactly its statistic, so the
+    # tie rule counts every one of them as T* >= t_obs
+    tab = ContingencyTable(counts)
+    model = fit_independence(tab)
+    t_obs = lrt_statistic(tab)
+    for block in _permutations(tab.counts):
+        assert applications._reaches(
+            applications._lrt_batch(block, tab.total), t_obs, model).all()
+
+
+@pytest.mark.parametrize("counts", _tie_tables(), ids=lambda c: f"{c.shape}_N{c.sum()}")
+def test_null_stream_and_first_stage_count_permutations(counts, monkeypatch):
+    tab = ContingencyTable(counts)
+    t_obs = lrt_statistic(tab)
+    model = fit_independence(tab)
+    perms = np.concatenate([b for b, _ in zip(_permutations(tab.counts), range(3))])
+    # the draw with the least statistic, clearly below t_obs: it must not count
+    rng = np.random.default_rng(0)
+    draws = sample_null_batch(model, rng, 200)
+    low = draws[np.argmin(applications._lrt_batch(draws, tab.total))]
+    assert lrt_statistic(ContingencyTable(low)) < t_obs - 1e-3
+    batch = np.concatenate([perms, low[None]])
+    monkeypatch.setattr(applications, "sample_null_batch", lambda model, rng, size: batch[:size])
+
+    stream = applications.NullStatStream(model, t_obs, rng)
+    bits = stream.take(batch.shape[0])
+    assert bits[:-1].all() and bits[-1] == 0
+
+    class StopAtSecondStage(Exception):
+        pass
+
+    def first_stage_estimate(table, M, num, den):
+        raise StopAtSecondStage(num, den)
+
+    monkeypatch.setattr(applications, "_ClippedBounds", first_stage_estimate)
+    with pytest.raises(StopAtSecondStage) as stop:
+        double_bootstrap(tab, first_stage=batch.shape[0], config=EngineConfig(seed=0))
+    assert stop.value.args == (len(perms), batch.shape[0])
+
+
+def test_lrt_statistic_equals_its_entry_in_any_batch(data):
+    model = fit_independence(data)
+    rng = np.random.default_rng(3)
+    for size in (1, 2, 7, 64, 1000):
+        batch = sample_null_batch(model, rng, size)
+        for pos in (0, size // 2, size - 1):
+            batch[pos] = data.counts
+            stats = applications._lrt_batch(batch, data.total)
+            assert stats[pos] == lrt_statistic(data)
+        stats = applications._lrt_batch(batch, data.total)
+        for pos in range(0, size, max(1, size // 50)):
+            assert stats[pos] == lrt_statistic(ContingencyTable(batch[pos]))
+
+
+def test_lrt_within_its_rounding_bound_of_50_digits():
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+
+    def exact(a):
+        n = int(a.sum())
+        r, c = a.sum(axis=1), a.sum(axis=0)
+        return 2 * mp.fsum(mp.mpf(int(a[i, j])) * mp.log(mp.mpf(int(a[i, j]) * n) / (int(r[i]) * int(c[j])))
+                           for i in range(a.shape[0]) for j in range(a.shape[1]) if a[i, j] > 0)
+
+    rng = np.random.default_rng(11)
+    checked = 0
+    for rows, cols in ((2, 2), (3, 5), (5, 7), (8, 10)):
+        for total in (10, 1000, 10**5, 10**6):
+            q = rng.dirichlet(np.ones(rows * cols)).reshape(rows, cols)
+            q[rng.integers(rows)] = 0.0  # a zero row
+            q[:, rng.integers(cols)] = 0.0  # and a zero column
+            if rng.random() < 0.5:
+                # near independence, where T is small and the terms cancel
+                q = np.outer(q.sum(axis=1), q.sum(axis=0))
+            batch = rng.multinomial(total, (q / q.sum()).ravel(), size=4).reshape(4, rows, cols)
+            got = applications._lrt_batch(batch, total)
+            bound = applications._lrt_rounding_bound((rows, cols), total)
+            for a, t in zip(batch, got):
+                assert abs(mp.mpf(float(t)) - exact(a)) <= bound, (rows, cols, total)
+                checked += 1
+    assert checked == 64
+
+
+def test_bundled_statistic_within_its_rounding_bound(data):
+    # 2 (sum a log a - sum r log r - sum c log c + N log N) in exact terms
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    xlx = lambda k: mp.mpf(int(k)) * mp.log(int(k)) if k > 0 else mp.mpf(0)  # noqa: E731
+    exact = 2 * (sum(xlx(k) for k in data.counts.ravel()) - sum(xlx(k) for k in data.row_sums)
+                 - sum(xlx(k) for k in data.col_sums) + xlx(data.total))
+    assert abs(exact - mp.mpf("38.519293416057050")) < mp.mpf("1e-15")
+    bound = applications._lrt_rounding_bound(data.counts.shape, data.total)
+    assert abs(mp.mpf(lrt_statistic(data)) - exact) <= bound
 
 
 # -- chi-square tail --------------------------------------------------------
@@ -178,6 +315,19 @@ def test_sample_null_total_and_margins(data):
     assert one.total == data.total
 
 
+def test_batch_of_one_is_the_draw_of_sample_null(data):
+    # the double bootstrap's inner streams draw A_i with sample_null_batch
+    # and refit it without a ContingencyTable; both must match sample_null
+    model = fit_independence(data)
+    for seed in range(20):
+        one = sample_null(model, np.random.default_rng(seed))
+        batch = sample_null_batch(model, np.random.default_rng(seed), 1)
+        assert np.array_equal(one.counts, batch[0])
+        refit = applications._independence(batch[0].sum(axis=1), batch[0].sum(axis=0), 39)
+        assert refit.total == 39
+        assert np.array_equal(refit.cell_probs, fit_independence(one).cell_probs)
+
+
 def test_sample_null_degenerate():
     probs = np.zeros((2, 2))
     probs[1, 1] = 1.0
@@ -196,6 +346,37 @@ def test_bootstrap_pvalue_side_and_counter(data):
     assert 0.02 < rep.result.p_hat <= 0.05
     assert rep.samples_used == rep.result.n
     assert 1e3 <= rep.result.n <= 1e5
+
+
+def test_single_bootstrap_draws_what_its_stream_takes(data, monkeypatch):
+    taken = []
+    real_take = applications.NullStatStream.take
+
+    def take(self, m):
+        taken.append(m)
+        return real_take(self, m)
+
+    monkeypatch.setattr(applications.NullStatStream, "take", take)
+    for seed in range(3):
+        taken.clear()
+        rep = bootstrap_pvalue(data, EngineConfig(seed=seed))
+        assert rep.samples_drawn == sum(taken) >= rep.samples_used
+        assert rep.to_json_dict()["samples_drawn"] == rep.samples_drawn
+    taken.clear()
+    rep = check_level(data, config=EngineConfig(seed=2))
+    assert rep.samples_drawn == sum(taken) >= rep.samples_used
+
+
+@pytest.mark.parametrize("construct", [
+    lambda data: bootstrap_pvalue(data, EngineConfig(seed=11)),
+    lambda data: check_level(data, config=EngineConfig(seed=2)),
+    lambda data: double_bootstrap(data, config=EngineConfig(seed=5, max_steps=150)),
+    lambda data: check_level_bootstrap(data, M=50, config=EngineConfig(seed=3, max_steps=200)),
+], ids=["bootstrap", "level", "double_bootstrap", "check_level_bootstrap"])
+def test_samples_drawn_at_least_samples_used(data, construct):
+    rep = construct(data)
+    assert rep.samples_drawn >= rep.samples_used
+    assert rep.to_json_dict()["samples_drawn"] == rep.samples_drawn
 
 
 def test_bootstrap_determinism(data):

@@ -205,6 +205,14 @@ def chisq_pvalue(t: float, df: int) -> float:
     return float(gammaincc(df / 2.0, t / 2.0))
 
 
+def chisq_quantile(alpha: float, df: int) -> float:
+    """Upper-alpha chi-square critical value 2 P^-1(df/2, 1 - alpha), the t
+    with chisq_pvalue(t, df) = alpha; equal to scipy.stats.chi2.ppf(1 - alpha, df)."""
+    from scipy.special import gammaincinv
+
+    return float(2.0 * gammaincinv(df / 2.0, 1.0 - alpha))
+
+
 # -- null sampling ----------------------------------------------------------
 
 
@@ -336,9 +344,7 @@ def check_level(
     threshold_alpha = cfg.alpha if threshold_alpha is None else threshold_alpha
     model = fit_independence(data)
     # rejection happens iff T >= upper-alpha chi-square quantile
-    from scipy.stats import chi2
-
-    t_crit = float(chi2.ppf(1.0 - nominal_alpha, data.df))
+    t_crit = chisq_quantile(nominal_alpha, data.df)
     stream = NullStatStream(model, t_crit, cfg.rng())
     res = run(cfg.table(threshold_alpha), stream, max_steps=cfg.max_steps)
     return BootstrapReport(
@@ -449,9 +455,7 @@ def check_level_bootstrap(
     outer_alpha = cfg.alpha if outer_alpha is None else outer_alpha
     inner_alpha = cfg.alpha if inner_alpha is None else inner_alpha
     model = fit_independence(data)
-    from scipy.stats import chi2
-
-    t_crit = float(chi2.ppf(1.0 - inner_alpha, data.df))
+    t_crit = chisq_quantile(inner_alpha, data.df)
     frac = Fraction(inner_alpha).limit_denominator(10**6)
     bounds = _ClippedBounds(cfg.table(inner_alpha), M, frac.numerator, frac.denominator)
     stream = _InnerLevelStream(model, t_crit, bounds, cfg.rng())

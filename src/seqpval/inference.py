@@ -14,6 +14,7 @@ whether the bracket got as narrow as its target; neither raises at the cap.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass, field, replace
@@ -22,7 +23,8 @@ import numpy as np
 
 from . import _native
 from .boundary import BoundaryTable
-from .runner import LOWER, STOPPED, UPPER, RunResult, interim_interval
+# interim_interval is re-exported: perfbench/spans.py wraps it in this namespace
+from .runner import LOWER, STOPPED, UPPER, RunResult, interim_edges, interim_interval  # noqa: F401
 
 SIDE_UPPER = 1
 SIDE_LOWER = -1
@@ -345,13 +347,6 @@ class StoppingCounts:
         logw = self.log_count + xlogy(self._s_f, p) + xlog1py(self._f_f, -p)
         return np.exp(logw)
 
-    def event_mass(self, p: float, mask: np.ndarray) -> tuple[float, float]:
-        """(P_p(event), residual) where the event is a subset of stops."""
-        w = self.masses(p)
-        total = float(w.sum())
-        residual = max(0.0, 1.0 - total)
-        return float(w @ mask), residual
-
     def estimate_ge_mask(self, num: int, den: int) -> np.ndarray:
         """Mask of outcomes whose estimate s/tau is >= num/den (exact rationals)."""
         return (self.s * den >= self.tau * num).astype(float)
@@ -403,24 +398,18 @@ class ConfidenceInterval:
         }
 
 
-def _bisect_mono(f, target: float, lo: float, hi: float, increasing: bool, tol: float) -> float:
-    """Root of f = target for monotone f on [lo, hi] with f(lo), f(hi) straddling."""
-    flo = f(lo)
-    fhi = f(hi)
-    if increasing:
-        if flo > target:
-            return lo
-        if fhi < target:
-            return hi
-    else:
-        if flo < target:
-            return lo
-        if fhi > target:
-            return hi
-    while hi - lo > tol:
+def _bisect_mono(f, target: float, increasing: bool) -> float:
+    """Root of f = target for monotone f on [0, 1], to within CI_TOL; an end
+    where f is already past the target is returned as is."""
+    lo, hi = 0.0, 1.0
+    flo, fhi = f(lo), f(hi)
+    if (flo > target) if increasing else (flo < target):
+        return lo
+    if (fhi < target) if increasing else (fhi > target):
+        return hi
+    while hi - lo > CI_TOL:
         mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if (fm < target) == increasing:
+        if (f(mid) < target) == increasing:
             lo = mid
         else:
             hi = mid
@@ -434,25 +423,36 @@ def _certified_root(g_stopped, target: float, increasing: bool) -> tuple[float, 
     in [mass, mass + residual].  The two adversarial allocations of the
     residual give an enclosure of the true root.
     """
-
-    # both bisections start from 0 and 1 and share midpoints until they part
-    g_stopped = functools.cache(g_stopped)
-
-    def g_lo(p):
-        m, _ = g_stopped(p)
-        return m
-
-    def g_hi(p):
-        m, r = g_stopped(p)
-        return m + r
-
-    if increasing:
-        r1 = _bisect_mono(g_hi, target, 0.0, 1.0, True, CI_TOL)
-        r2 = _bisect_mono(g_lo, target, 0.0, 1.0, True, CI_TOL)
-    else:
-        r1 = _bisect_mono(g_lo, target, 0.0, 1.0, False, CI_TOL)
-        r2 = _bisect_mono(g_hi, target, 0.0, 1.0, False, CI_TOL)
+    r1 = _bisect_mono(lambda p: g_stopped(p)[0], target, increasing)
+    r2 = _bisect_mono(lambda p: g_stopped(p)[0] + g_stopped(p)[1], target, increasing)
     return (min(r1, r2), max(r1, r2))
+
+
+def _endpoints(cts: StoppingCounts, low_est: tuple[int, int], high_est: tuple[int, int],
+               target: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Enclosures of the lower and the upper confidence-interval endpoint.
+
+    The lower endpoint solves P_p(p_hat >= low_est) = target and the upper
+    one P_p(p_hat <= high_est) = target, each by `_certified_root` over the
+    stops in `cts`.  Estimates are exact rationals (num, den), compared as
+    s*den >= num*tau, ties included in the tail.  By convention an estimate
+    num = 0 has lower endpoint 0 and one with num = den upper endpoint 1.
+    """
+    ge = cts.estimate_ge_mask(*low_est)
+    le = cts.estimate_le_mask(*high_est)
+
+    # one masses(p) serves both tails; the bisections start from 0 and 1 and
+    # share midpoints until they part
+    @functools.cache
+    def tails(p):
+        w = cts.masses(p)
+        return float(w @ ge), float(w @ le), max(0.0, 1.0 - float(w.sum()))
+
+    low_enc = ((0.0, 0.0) if low_est[0] == 0
+               else _certified_root(lambda p: (tails(p)[0], tails(p)[2]), target, True))
+    high_enc = ((1.0, 1.0) if high_est[0] == high_est[1]
+                else _certified_root(lambda p: (tails(p)[1], tails(p)[2]), target, False))
+    return low_enc, high_enc
 
 
 def confidence_interval(
@@ -469,45 +469,30 @@ def confidence_interval(
     unstopped residual mass allocated adversarially in both directions; the
     returned endpoints are the outer edges of the two enclosures, so the
     interval contains the exact one whatever the horizon.  The counts (built
-    at CI_HORIZON when not given, and extended in place) double, up to
-    `max_horizon`, until both enclosures are at most CI_CERT_TOL wide;
-    `certified` records whether they got there.  Estimates are compared as
-    exact rationals s*den >= num*tau, ties included in the observed-or-larger
-    event.
+    at CI_HORIZON when not given) double, up to `max_horizon`, until both
+    enclosures are at most CI_CERT_TOL wide; `certified` records whether
+    they got there.  Given counts are left as they are: the doubling extends
+    a copy.  Estimates are compared as exact rationals s*den >= num*tau,
+    ties included in the observed-or-larger event.
     """
     if not (0.0 < beta < 1.0):
         raise ValueError(f"beta must be in (0, 1), got {beta}")
     if observed.status != STOPPED:
         raise ValueError("confidence_interval needs a stopped run; see the running variant")
-    num, den = observed.s, observed.n
+    est = (observed.s, observed.n)
     cts = counts if counts is not None else StoppingCounts(table, CI_HORIZON)
-    target = beta / 2.0
     while True:
-        ge_mask = cts.estimate_ge_mask(num, den)
-        le_mask = cts.estimate_le_mask(num, den)
-        if num == 0:
-            low_enc = (0.0, 0.0)
-        else:
-            low_enc = _certified_root(lambda p: cts.event_mass(p, ge_mask), target, True)
-        if num == den:
-            high_enc = (1.0, 1.0)
-        else:
-            high_enc = _certified_root(lambda p: cts.event_mass(p, le_mask), target, False)
-        widths = (low_enc[1] - low_enc[0], high_enc[1] - high_enc[0])
-        certified = max(widths) <= CI_CERT_TOL
+        low_enc, high_enc = _endpoints(cts, est, est, beta / 2.0)
+        certified = max(low_enc[1] - low_enc[0], high_enc[1] - high_enc[0]) <= CI_CERT_TOL
         if certified or cts.horizon >= max_horizon:
             break
+        if cts is counts:
+            # extend rebinds the arrays and state it holds, never writes into them
+            cts = copy.copy(counts)
         cts.extend(min(2 * cts.horizon, max_horizon))
-    return ConfidenceInterval(
-        p_low=low_enc[0],
-        p_high=high_enc[1],
-        beta=beta,
-        p_obs_num=num,
-        p_obs_den=den,
-        horizon=cts.horizon,
-        certified=certified,
-        enclosure=low_enc + high_enc,
-    )
+    return ConfidenceInterval(p_low=low_enc[0], p_high=high_enc[1], beta=beta, p_obs_num=est[0],
+                              p_obs_den=est[1], horizon=cts.horizon, certified=certified,
+                              enclosure=low_enc + high_enc)
 
 
 def confidence_interval_running(
@@ -518,31 +503,16 @@ def confidence_interval_running(
 ) -> tuple[float, float]:
     """Conservative interval available before stopping.
 
-    Substitutes the interim bounds on the eventual estimate for the observed
-    estimate in the two tail equations; by inclusion the result covers the
-    interval the stopped run will eventually produce, so coverage is at least
-    1 - beta.
+    Substitutes the edges of the interim interval, the least and the
+    greatest stop estimate still reachable after step n, for the observed
+    estimate in the two tail equations, and returns the outer edges of the
+    endpoint enclosures at the counts' horizon.  Both edges are exact stop
+    estimates, so by inclusion the result contains the interval that
+    `confidence_interval` gives, from the same counts, to every stop still
+    reachable; coverage is at least 1 - beta.
     """
     if not (0.0 < beta < 1.0):
         raise ValueError(f"beta must be in (0, 1), got {beta}")
-    p_min, p_max = interim_interval(table, n)
     cts = counts if counts is not None else StoppingCounts(table, CI_HORIZON)
-    target = beta / 2.0
-
-    def g_hi(mask):
-        def g(p):
-            mass, residual = cts.event_mass(p, mask)
-            return residual + mass
-        return g
-
-    if p_min <= 0.0:
-        p_low = 0.0
-    else:
-        ge = (cts.s >= p_min * cts.tau).astype(float)
-        p_low = _bisect_mono(g_hi(ge), target, 0.0, 1.0, True, CI_TOL)
-    if p_max >= 1.0:
-        p_high = 1.0
-    else:
-        le = (cts.s <= p_max * cts.tau).astype(float)
-        p_high = _bisect_mono(g_hi(le), target, 0.0, 1.0, False, CI_TOL)
-    return (p_low, p_high)
+    low_enc, high_enc = _endpoints(cts, *interim_edges(table, n), beta / 2.0)
+    return (low_enc[0], high_enc[1])

@@ -139,12 +139,21 @@ def interim_interval(table: BoundaryTable, n: int) -> tuple[float, float]:
     it never does within 64 doublings, the trivially sound (0, 1) is
     returned.
     """
+    (lo_num, lo_den), (hi_num, hi_den) = interim_edges(table, n)
+    return (lo_num / lo_den, hi_num / hi_den)
+
+
+def interim_edges(table: BoundaryTable, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The edges of `interim_interval` as exact estimates (num, den).
+
+    A scanned edge is the stop cell it comes from: (L_{nu-1} + 1, nu) for
+    the lower edge and (U_{nu-1}, nu) for the upper one.  An edge clipped to
+    the bound, and the fallback, are (0, 1) and (1, 1).
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    alpha = table.alpha
-    win = max(1, math.ceil(2.0 / alpha))
-    w_hi = -math.inf
-    w_lo = math.inf
+    win = max(1, math.ceil(2.0 / table.alpha))
+    lo_edge = hi_edge = None
     lo_done = hi_done = False
     scanned = n  # last nu already included in the extremes (nu = n never stops)
     for _ in range(64):
@@ -156,10 +165,10 @@ def interim_interval(table: BoundaryTable, n: int) -> tuple[float, float]:
         # U_{nu-1}, U_nu (and likewise L) for nu in (scanned, m]
         up_prev, up_cur = up[scanned - 1 : m - 1], up[scanned:m]
         lo_prev, lo_cur = lo[scanned - 1 : m - 1], lo[scanned:m]
-        hi_reach = np.max(up_prev / nu, where=up_cur <= up_prev, initial=-math.inf)
-        lo_reach = np.min((lo_prev + 1) / nu, where=lo_cur > lo_prev, initial=math.inf)
-        w_hi = max(w_hi, float(hi_reach))
-        w_lo = min(w_lo, float(lo_reach))
+        hi_edge = _extreme(hi_edge, up_prev, nu, up_cur <= up_prev, sign=1)
+        lo_edge = _extreme(lo_edge, lo_prev + 1, nu, lo_cur > lo_prev, sign=-1)
+        w_hi = hi_edge[0] / hi_edge[1] if hi_edge else -math.inf
+        w_lo = lo_edge[0] / lo_edge[1] if lo_edge else math.inf
         scanned = m
         q_lo, q_hi = table.chernoff_rates(m)
         # an edge already at the clip bound [0, 1] needs no envelope
@@ -171,8 +180,24 @@ def interim_interval(table: BoundaryTable, n: int) -> tuple[float, float]:
     if not (hi_done and lo_done):
         # envelope never dominated (pathological spending); fall back to the
         # trivially sound interval
-        return (0.0, 1.0)
-    return (max(0.0, w_lo), min(1.0, w_hi))
+        return (0, 1), (1, 1)
+    return (0, 1) if w_lo <= 0.0 else lo_edge, (1, 1) if w_hi >= 1.0 else hi_edge
+
+
+def _extreme(edge, nums: np.ndarray, nu: np.ndarray, reach: np.ndarray, sign: int):
+    """The greatest (sign 1) or least (sign -1) estimate (num, den) among
+    `edge` and the nums / nu where `reach` holds.
+
+    Floats order distinct estimates only up to rounding, so the ones whose
+    quotient equals the extreme float are compared exactly; the result's
+    float quotient is that extreme.
+    """
+    q = np.where(reach, sign * nums / nu, -math.inf)
+    for i in np.flatnonzero(reach & (q == q.max())).tolist():
+        num, den = int(nums[i]), int(nu[i])
+        if edge is None or sign * (num * edge[1] - edge[0] * den) > 0:
+            edge = (num, den)
+    return edge
 
 
 # -- the driver ------------------------------------------------------------

@@ -1,5 +1,7 @@
 import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from seqpval.applications import (
     check_level,
     check_level_bootstrap,
     chisq_pvalue,
+    chisq_quantile,
     double_bootstrap,
     example_table,
     find_sample_size,
@@ -281,6 +284,23 @@ def test_chisq_input_validation():
         chisq_pvalue(-1.0, 24)
     with pytest.raises(ValueError):
         chisq_pvalue(1.0, 0)
+
+
+def test_chisq_quantile_equals_scipy_ppf():
+    from scipy.stats import chi2
+
+    for df in range(1, 80):
+        for alpha in (0.001, 0.01, 0.025, 0.05, 0.1, 0.2, 0.5):
+            t = chisq_quantile(alpha, df)
+            assert t == float(chi2.ppf(1.0 - alpha, df)), (alpha, df)
+            assert chisq_pvalue(t, df) == pytest.approx(alpha, rel=1e-9)
+
+
+def test_check_level_leaves_scipy_stats_unloaded():
+    code = ("import sys; from seqpval.applications import EngineConfig, check_level, "
+            "example_table; check_level(example_table(), config=EngineConfig(seed=2)); "
+            "assert 'scipy.stats' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
 
 
 # -- null model and sampling ------------------------------------------------

@@ -18,13 +18,17 @@ from seqpval.inference import (
     resampling_risk,
     wald_lower_bound,
 )
-from seqpval.runner import RunResult, STOPPED, TRUNCATED, BernoulliSampler, run
+from seqpval.runner import (
+    RunResult, STOPPED, TRUNCATED, BernoulliSampler, interim_edges, interim_interval, run,
+)
 from seqpval.spending import SpendingSequence
 
 
 @pytest.fixture(scope="module")
 def counts(default_table):
-    return StoppingCounts(default_table, 50_000)
+    # the horizon confidence_interval builds by default: the intervals of the
+    # tests below certify within it
+    return StoppingCounts(default_table, 200_000)
 
 
 # -- outcome distribution ---------------------------------------------------
@@ -356,10 +360,15 @@ def test_ci_at_its_cap_is_returned_uncertified(default_table):
     # comes back flagged, and it contains the certified one, since the
     # enclosures nest as the horizon grows
     res = RunResult(STOPPED, 2422, 93, "upper")
-    capped = confidence_interval(default_table, res, beta=0.1,
-                                 counts=StoppingCounts(default_table, 2000), max_horizon=4000)
+    given = StoppingCounts(default_table, 2000)
+    before = [a.copy() for a in (given.tau, given.s, given.side, given.log_count)]
+    capped = confidence_interval(default_table, res, beta=0.1, counts=given, max_horizon=4000)
     assert capped.certified is False
     assert capped.horizon == 4000
+    # the interval extended a copy; the caller's counts are as they were
+    assert given.horizon == 2000 and given._state.n == 2000
+    for a, b in zip((given.tau, given.s, given.side, given.log_count), before):
+        assert np.array_equal(a, b)
     exact = confidence_interval(default_table, res, beta=0.1,
                                 counts=StoppingCounts(default_table, 50_000))
     assert exact.certified
@@ -375,3 +384,40 @@ def test_running_ci_contains_stopped_ci(default_table, counts):
     # the pre-stop interval is conservative: it must reach at least as far out
     assert lo_run <= ci.p_low + 1e-9
     assert hi_run >= ci.p_high - 1e-9
+
+
+# (n, tau, S) of lower stops reachable after n on the interim interval's lower
+# edge, whose intervals a float comparison of estimates left uncovered
+EDGE_STOPS = [(2801, 2808, 96), (2843, 2856, 98), (11973, 11974, 499)]
+
+
+@pytest.mark.parametrize("n, tau, s", EDGE_STOPS)
+def test_running_ci_contains_ci_of_edge_stop(default_table, counts, n, tau, s):
+    assert interim_edges(default_table, n)[0] == (s, tau)
+    lo_run, hi_run = confidence_interval_running(default_table, n, beta=0.1, counts=counts)
+    ci = confidence_interval(default_table, RunResult(STOPPED, tau, s, "lower"), beta=0.1,
+                             counts=counts)
+    assert ci.certified
+    assert lo_run <= ci.p_low and ci.p_high <= hi_run
+
+
+@pytest.mark.parametrize("n", [5, 60, 605, 1000, 2801, 2843, 11973, 60_000])
+def test_interim_edges_are_reachable_stops_enclosing_every_later_stop(default_table, counts, n):
+    (lo_num, lo_den), (hi_num, hi_den) = edges = interim_edges(default_table, n)
+    assert interim_interval(default_table, n) == (lo_num / lo_den, hi_num / hi_den)
+    up = default_table.upper_array(max(lo_den, hi_den))
+    lo = default_table.lower_array(max(lo_den, hi_den))
+    later = counts.tau > n
+    stops = set(zip(counts.tau[later].tolist(), counts.s[later].tolist()))
+    # each scanned edge is the stop cell it comes from, reachable after n
+    if edges[0] != (0, 1):
+        nu = lo_den
+        assert nu > n and lo[nu - 1] > lo[nu - 2] and lo_num == lo[nu - 2] + 1
+        assert (nu, lo_num) in stops
+    if edges[1] != (1, 1):
+        nu = hi_den
+        assert nu > n and up[nu - 1] <= up[nu - 2] and hi_num == up[nu - 2]
+        assert (nu, hi_num) in stops
+    # every stop after n lies between the edges, as exact rationals
+    s, tau = counts.s[later], counts.tau[later]
+    assert np.all(s * lo_den >= lo_num * tau) and np.all(s * hi_den <= hi_num * tau)

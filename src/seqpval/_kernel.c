@@ -1,17 +1,20 @@
-/* Compiled corridor kernel: the lattice recursion behind BoundaryTable.extend
- * (under the null rate alpha) and inference._sweep (under any p).
+/* Compiled kernels: the lattice recursion behind BoundaryTable.extend (under
+ * the null rate alpha) and inference._sweep (under any p), and the null draws
+ * and likelihood-ratio statistics of the contingency-table bootstrap
+ * (applications.sample_null_batch and applications._lrt_batch).
  *
- * Both functions repeat the numpy reference loops operation for operation, so
- * their results are bit-identical to them.  That holds only when the file is
- * compiled without contraction into fused multiply-adds and without
+ * Every function repeats its numpy reference loop operation for operation,
+ * so their results are bit-identical to them.  That holds only when the file
+ * is compiled without contraction into fused multiply-adds and without
  * -ffast-math (the loader passes -O2 -ffp-contract=off).
  *
- * The alive cells live in a work buffer owned by the caller: cells
- * buf[start .. start + w) hold the masses of S = off .. off + w - 1.  A step
- * updates them in place, top down, into buf[start .. start + w] and then trims
- * the window.  The integer state is passed as st = {n, start, w, off}, where n
- * is the last completed step; the kernel updates it as it goes, so the caller
- * resumes from it after any return.
+ * In the two lattice functions the alive cells live in a work buffer owned by
+ * the caller: cells buf[start .. start + w) hold the masses of
+ * S = off .. off + w - 1.  A step updates them in place, top down, into
+ * buf[start .. start + w] and then trims the window.  The integer state is
+ * passed as st = {n, start, w, off}, where n is the last completed step; the
+ * kernel updates it as it goes, so the caller resumes from it after any
+ * return.
  */
 
 #include <stdint.h>
@@ -23,7 +26,8 @@ enum {
     SEQPVAL_DEGENERATE = 2, /* step st[0] + 1 admits no corridor (U <= L) */
     SEQPVAL_FLOOR = 3,      /* the alive total fell to alive_floor */
     SEQPVAL_EMPTY = 4,      /* no alive cell is left; st[0] is the horizon */
-    SEQPVAL_FLUSH = 5       /* the record buffer may not hold the next step */
+    SEQPVAL_FLUSH = 5,      /* the record buffer may not hold the next step */
+    SEQPVAL_RANGE = 6       /* a count or margin lies outside 0 .. n_total */
 };
 
 /* numpy's pairwise summation (the order of np.sum on a contiguous float64
@@ -217,4 +221,82 @@ int seqpval_sweep(double *buf, int64_t cap, int64_t *st, double *sum_alive, doub
     if (rec_n)
         *rec_len = k;
     return rc;
+}
+
+/* The next uniform double in [0, 1) of a numpy BitGenerator: its
+ * ctypes.next_double applied to its ctypes.state_address. */
+typedef double (*next_double_fn)(void *);
+
+/* `size` null tables of n_draw categorical draws each over k cells, counted
+ * into out[t * k .. t * k + k).  A draw with uniform u takes the cell
+ * #{i : cdf[i] <= u} (numpy's searchsorted(cdf, u, side="right") on the
+ * non-decreasing cdf), clamped to `last`, the last cell of positive
+ * probability.  The guide table only chooses where that search starts: u is
+ * looked up from guide[floor(u * g)], g + 1 entries in 0 .. k (the product
+ * may round up to g), and the walk down and then up from there ends at the
+ * same cell from any start.  Uniforms are taken one per draw, in order, so
+ * the bit generator advances as under numpy's random(size * n_draw). */
+int seqpval_null_draw(void *next_double, void *state, int64_t size, int64_t n_draw,
+                      const double *cdf, int64_t k, int64_t last, const int64_t *guide,
+                      int64_t g, int64_t *out)
+{
+    const next_double_fn next = (next_double_fn)next_double;
+    const double scale = (double)g;
+    memset(out, 0, (size_t)(size * k) * sizeof(int64_t));
+    for (int64_t t = 0; t < size; t++) {
+        int64_t *row = out + t * k;
+        for (int64_t d = 0; d < n_draw; d++) {
+            const double u = next(state);
+            const double x = u * scale;
+            int64_t i = guide[x >= 0.0 && x < scale ? (int64_t)x : g];
+            while (i > 0 && cdf[i - 1] > u)
+                i--;
+            while (i < k && cdf[i] <= u)
+                i++;
+            row[i < last ? i : last]++;
+        }
+    }
+    return SEQPVAL_DONE;
+}
+
+/* Likelihood-ratio statistics of `size` tables of rows x cols counts,
+ * out[t] = 2 (((C - R) - K) + x(N)), where C, R and K sum x(k) = xlogx[k]
+ * over the cells, the row sums and the column sums, each in numpy's pairwise
+ * order, as applications._lrt_batch computes them.  work holds
+ * rows * cols + rows + cols doubles.  A count or margin outside
+ * 0 .. n_total returns SEQPVAL_RANGE, so xlogx is never read out of bounds. */
+int seqpval_lrt(const int64_t *counts, int64_t size, int64_t rows, int64_t cols,
+                const double *xlogx, int64_t n_total, double *work, double *out)
+{
+    const int64_t cells = rows * cols;
+    double *xc = work, *xr = work + cells, *xk = work + cells + rows;
+    for (int64_t t = 0; t < size; t++) {
+        const int64_t *a = counts + t * cells;
+        for (int64_t i = 0; i < cells; i++)
+            if (a[i] < 0 || a[i] > n_total)
+                return SEQPVAL_RANGE;
+        for (int64_t i = 0; i < rows; i++) {
+            int64_t r = 0;
+            for (int64_t j = 0; j < cols; j++)
+                r += a[i * cols + j];
+            if (r > n_total)
+                return SEQPVAL_RANGE;
+            xr[i] = xlogx[r];
+        }
+        for (int64_t j = 0; j < cols; j++) {
+            int64_t c = 0;
+            for (int64_t i = 0; i < rows; i++)
+                c += a[i * cols + j];
+            if (c > n_total)
+                return SEQPVAL_RANGE;
+            xk[j] = xlogx[c];
+        }
+        for (int64_t i = 0; i < cells; i++)
+            xc[i] = xlogx[a[i]];
+        const double sc = pairwise_sum(xc, cells);
+        const double sr = pairwise_sum(xr, rows);
+        const double sk = pairwise_sum(xk, cols);
+        out[t] = 2.0 * (((sc - sr) - sk) + xlogx[n_total]);
+    }
+    return SEQPVAL_DONE;
 }

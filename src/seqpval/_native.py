@@ -1,4 +1,4 @@
-"""Loader of the compiled corridor kernel (``_kernel.c``).
+"""Loader of the compiled kernel (``_kernel.c``).
 
 The first call of ``kernel()`` compiles the C source with ``$CC`` (or ``cc``)
 into the per-user cache directory, ``$XDG_CACHE_HOME/seqpval`` or
@@ -32,7 +32,7 @@ import numpy as np
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 # return codes of the kernel functions (see _kernel.c)
-DONE, ROOM, DEGENERATE, FLOOR, EMPTY, FLUSH = range(6)
+DONE, ROOM, DEGENERATE, FLOOR, EMPTY, FLUSH, RANGE = range(7)
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 _UNSET = object()
@@ -45,6 +45,8 @@ _D = ctypes.c_double
 _SIGNATURES = {
     "seqpval_boundary": (_P, _I, _P, _P, _D, _P, _I, _P, _P, _P, _P),
     "seqpval_sweep": (_P, _I, _P, _P, _D, _I, _P, _P, _D, _P, _P, _P, _P, _I, _P),
+    "seqpval_null_draw": (_P, _P, _I, _I, _P, _I, _I, _P, _I, _P),
+    "seqpval_lrt": (_P, _I, _I, _I, _P, _I, _P, _P),
 }
 
 

@@ -90,6 +90,11 @@ class BoundaryTable:
         self._hl = 0.0
         self._resumable = True
         self._lock = threading.Lock()
+        # the kernel's work buffer, state (n, start, w, off) and hit sums
+        self._set_work(np.empty(64))
+        self._st = np.zeros(4, dtype=np.int64)
+        self._h = np.zeros(2)
+        self._state_addresses = (_native.ptr(self._st, np.int64), _native.ptr(self._h, np.float64))
 
     # -- accessors ---------------------------------------------------------
 
@@ -276,29 +281,42 @@ class BoundaryTable:
         """The same recursion in the compiled kernel (``_kernel.c``).
 
         The kernel writes the per-step arrays through the addresses
-        ``_allocate`` recorded; they stay valid because the arrays are only
-        reallocated under the lock this runs under.
+        ``_allocate`` recorded, and steps a copy of the alive cells in the
+        table's work buffer, with the state and hit sums in ``_st`` and
+        ``_h``, through the addresses ``_set_work`` and ``__init__``
+        recorded.  They stay valid because they are only reallocated under
+        the lock this runs under.  A call that fails publishes nothing: the
+        alive state is copied out of the work buffer only on success.
         """
-        f64, i64, ptr = np.float64, np.int64, _native.ptr
         upper, lower, hit_u, hit_l, eps = self._addresses
-        eps += np.dtype(f64).itemsize  # eps_1 is at index 1
-        buf, st = _native.work_buffer(self._alive, self.n_max, self._alive_offset)
-        h = np.array([self._hu, self._hl])
+        eps += np.dtype(np.float64).itemsize  # eps_1 is at index 1
+        st, h = self._st, self._h
+        w = self._alive.size
+        if self._work.size < 2 * w + 64:
+            self._set_work(np.empty(2 * w + 64))
+        self._work[:w] = self._alive
+        st[0], st[1], st[2], st[3] = self.n_max, 0, w, self._alive_offset
+        h[0], h[1] = self._hu, self._hl
         while True:
             rc = kern.seqpval_boundary(
-                ptr(buf, f64), buf.size, ptr(st, i64), ptr(h, f64), self.alpha, eps,
+                self._work_address, self._work.size, *self._state_addresses, self.alpha, eps,
                 int(n_target), upper, lower, hit_u, hit_l,
             )
             if rc != _native.ROOM:
                 break
-            buf = _native.regrow(buf, st)
+            self._set_work(_native.regrow(self._work, st))
         if rc == _native.DEGENERATE:
             raise DegenerateBoundaryError(int(st[0]) + 1)
         _, start, w, off = st.tolist()
-        self._alive = buf[start : start + w]
+        self._alive = self._work[start : start + w].copy()
         self._alive_offset = off
         self._hu = float(h[0])
         self._hl = float(h[1])
+
+    def _set_work(self, buf: np.ndarray):
+        """Make `buf` the kernel's work buffer and record its address."""
+        self._work = buf
+        self._work_address = _native.ptr(buf, np.float64)
 
     # -- persistence -------------------------------------------------------
 

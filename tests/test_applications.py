@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from seqpval import applications
+from seqpval import _native, applications
 from seqpval.applications import (
     ContingencyTable,
     DataError,
@@ -316,23 +316,58 @@ def test_fit_independence(data):
         NullModel(cell_probs=np.array([[0.5, 0.2]]), total=10)
 
 
-def test_sample_null_total_and_margins(data):
-    model = fit_independence(data)
-    rng = np.random.default_rng(7)
-    m = 100_000
-    acc = np.zeros_like(model.cell_probs)
-    for _ in range(20):
-        flat = rng.multinomial(model.total, model.cell_probs.ravel(), size=m // 20)
-        acc += flat.sum(axis=0).reshape(model.cell_probs.shape)
-    mean = acc / m
-    expect = model.total * model.cell_probs
-    se = np.sqrt(model.total * model.cell_probs * (1 - model.cell_probs) / m)
-    assert np.all(np.abs(mean - expect) <= 4 * se + 1e-9)
-    # row-sum means match the data's row sums
-    row_mean = mean.sum(axis=1)
-    assert np.allclose(row_mean, data.row_sums, atol=0.05)
-    one = sample_null(model, rng)
-    assert one.total == data.total
+def _binomial_gof_pvalue(counts: np.ndarray, n: int, q: float) -> float:
+    """Chi-square goodness-of-fit p-value of draws `counts` against
+    Binomial(n, q), over runs of adjacent values pooled to an expected count
+    of at least 5."""
+    from scipy.stats import binom, chi2
+
+    expected = counts.size * binom.pmf(np.arange(n + 1), n, q)
+    observed = np.bincount(counts, minlength=n + 1)
+    e_bins, o_bins, e_acc, o_acc = [], [], 0.0, 0
+    for e, o in zip(expected, observed):
+        e_acc, o_acc = e_acc + e, o_acc + o
+        if e_acc >= 5.0:
+            e_bins.append(e_acc)
+            o_bins.append(o_acc)
+            e_acc, o_acc = 0.0, 0
+    e_bins[-1] += e_acc
+    o_bins[-1] += o_acc
+    e, o = np.array(e_bins), np.array(o_bins)
+    return float(chi2.sf(np.sum((o - e) ** 2 / e), e.size - 1))
+
+
+def _null_models():
+    rng = np.random.default_rng(12)
+    padded = np.zeros((6, 8), dtype=int)  # the bundled table, a zero row and column
+    padded[:5, :7] = example_table().counts
+    q = np.outer(rng.dirichlet(np.ones(2)), [0.3, 0.0, 0.7])
+    return [fit_independence(example_table()), fit_independence(ContingencyTable(padded)),
+            # above the multinomial cutover, with a zero column
+            NullModel(cell_probs=q, total=applications._INVERSION_MAX_DRAWS_PER_CELL * 6 + 1)]
+
+
+def test_sample_null_total_and_margins(monkeypatch):
+    # the compiled draw first (when it is available), then the numpy loop
+    for numpy_path in (False, True):
+        if numpy_path:
+            monkeypatch.setattr(_native, "_lib", None)
+        for model in _null_models():
+            rng = np.random.default_rng(7)
+            m = 20_000
+            draws = sample_null_batch(model, rng, m)
+            q = model.cell_probs
+            assert draws.shape == (m,) + q.shape and draws.dtype == np.int64
+            assert np.all(draws.sum(axis=(1, 2)) == model.total)
+            assert not draws[:, q.sum(axis=1) == 0].any()
+            assert not draws[:, :, q.sum(axis=0) == 0].any()
+            # each cell is Binomial(N, q_ij): no fit is rejected at 1e-4 / cells
+            for (i, j), q_ij in np.ndenumerate(q):
+                if q_ij > 0.0:
+                    p = _binomial_gof_pvalue(draws[:, i, j], model.total, q_ij)
+                    assert p > 1e-4 / q.size, (q.shape, i, j, numpy_path)
+            one = sample_null(model, rng)
+            assert one.total == model.total and one.counts.shape == q.shape
 
 
 def test_batch_of_one_is_the_draw_of_sample_null(data):
@@ -507,14 +542,14 @@ def test_double_bootstrap_side_and_cost(data):
 
 @pytest.mark.parametrize("construct, expected", [
     (lambda data: bootstrap_pvalue(data, EngineConfig(seed=11)),
-     ("stopped", 18894, 18894)),
+     ("stopped", 13711, 13711)),
     (lambda data: check_level(data, config=EngineConfig(seed=2)),
-     ("stopped", 1730, 1730)),
+     ("stopped", 114, 114)),
     (lambda data: double_bootstrap(data, config=EngineConfig(seed=5, max_steps=150)),
-     ("truncated", 150, 18096)),
+     ("truncated", 150, 17595)),
     (lambda data: check_level_bootstrap(
         data, M=50, config=EngineConfig(seed=3, max_steps=200)),
-     ("stopped", 75, 2565)),
+     ("stopped", 35, 1210)),
 ], ids=["bootstrap", "level", "double_bootstrap", "check_level_bootstrap"])
 def test_seeded_samples_used_pinned(data, construct, expected):
     # seeded runs and their sample charges, pinned so that any change to the

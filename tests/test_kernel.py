@@ -1,10 +1,13 @@
-"""The compiled corridor kernel against the numpy reference loops.
+"""The compiled kernel against the numpy reference loops.
 
-Both paths must give bit-identical tables, sweep states and stop records, so
-every comparison here is exact (``==``).  The numpy path is forced
-in-process by clearing the loader's cached handle.
+Both paths must give bit-identical tables, sweep states, stop records, null
+draws and LRT statistics, so every comparison here is exact (``==``).  The
+numpy path is forced in-process by clearing the loader's cached handle.
 """
 
+import ctypes
+import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +16,8 @@ import threading
 import numpy as np
 import pytest
 
-from seqpval import _native, inference
+from seqpval import _native, applications, inference
+from seqpval.applications import NullModel, _lrt_batch, sample_null_batch
 from seqpval.boundary import BoundaryTable, DegenerateBoundaryError
 from seqpval.spending import SpendingSequence
 
@@ -232,6 +236,129 @@ def test_concurrent_extension_matches_serial(kernel_on):
     assert not errors, errors
     assert_tables_equal(shared, serial)
     shared.check_conservation()
+
+
+# -- null draws and the LRT ----------------------------------------------------
+
+CUT = applications._INVERSION_MAX_DRAWS_PER_CELL
+
+
+def null_model(shape, n_total, zero_margins=False, seed=0):
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.dirichlet(np.ones(shape[0])), rng.dirichlet(np.ones(shape[1]))
+    if zero_margins:
+        rows[1] = cols[2] = 0.0
+    q = np.outer(rows / rows.sum(), cols / cols.sum())
+    return NullModel(cell_probs=q / q.sum(), total=n_total)
+
+
+def state(rng) -> str:
+    """A Generator's bit-generator state, arrays included, as one string."""
+    return json.dumps(rng.bit_generator.state, sort_keys=True, default=lambda a: a.tolist())
+
+
+def assert_bits_equal(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("shape, zero_margins", [
+    ((1, 1), False), ((2, 2), False), ((8, 10), False), ((5, 7), True), ((12, 15), False),
+], ids=["1x1", "2x2", "8x10", "5x7_zero_margins", "12x15"])
+@pytest.mark.parametrize("per_cell", [1, CUT, CUT + 1 / 64], ids=["N=cells", "N=cut", "N>cut"])
+def test_null_draw_and_lrt_match_numpy(kernel, shape, zero_margins, per_cell):
+    cells = shape[0] * shape[1]
+    n = math.ceil(per_cell * cells)
+    model = null_model(shape, n, zero_margins)
+    inversion = n <= CUT * cells
+    for size in (1, 7, 8192):
+        rng, ref = np.random.default_rng(size), np.random.default_rng(size)
+        tables = sample_null_batch(model, rng, size)
+        assert_bits_equal(tables, numpy_path(sample_null_batch, model, ref, size))
+        assert state(rng) == state(ref)
+        if inversion:
+            ref = np.random.default_rng(size)
+            ref.random(size * n)
+            assert state(rng) == state(ref)
+        assert_bits_equal(_lrt_batch(tables, n), numpy_path(_lrt_batch, tables, n))
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64])
+def test_null_draw_advances_any_bit_generator_as_random(kernel, bit_generator):
+    model = null_model((5, 7), 39)
+    rng, ref = np.random.Generator(bit_generator(3)), np.random.Generator(bit_generator(3))
+    tables = sample_null_batch(model, rng, 100)
+    assert_bits_equal(tables, numpy_path(sample_null_batch, model, ref, 100))
+    ref = np.random.Generator(bit_generator(3))
+    ref.random(100 * 39)
+    assert state(rng) == state(ref)
+
+
+class _Uniforms:
+    """A stand-in for the Generator of ``_draw_numpy``: given uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, m):
+        out, self.u = self.u[:m], self.u[m:]
+        return out
+
+
+def edge_model():
+    """A 5x7 model whose cumulative probabilities sit on guide bucket edges
+    b / g for which the next double down, u, has u * g rounding up to b; each
+    positive cell is followed by two cells of probability 0."""
+    g = applications._GUIDE_PER_CELL * 35
+    edges = np.arange(g + 1) / g
+    rounds_up = [e for b, e in enumerate(edges[1:-1].tolist(), 1)
+                 if int(np.nextafter(e, 0.0) * g) == b]
+    targets = [rounds_up[0]]
+    for e in rounds_up:  # within a factor 2, so that each difference is exact
+        if targets[-1] < e <= 2.0 * targets[-1] and len(targets) < 11:
+            targets.append(e)
+    q = np.zeros(35)
+    prev = 0.0
+    for i, t in enumerate(targets):
+        q[3 * i] = t - prev
+        prev = t
+    q[-1] = 1.0 - prev
+    model = NullModel(cell_probs=q.reshape(5, 7), total=35)
+    assert model._inversion.cdf[3 * np.arange(len(targets))].tolist() == targets
+    return model, np.array(targets), g
+
+
+def test_null_draw_at_guide_bucket_edges(kernel):
+    model, targets, g = edge_model()
+    inv = model._inversion
+    u = np.concatenate([np.arange(g + 1) / g, inv.cdf, [0.0, 1.0 - 2.0**-53]])
+    u = np.concatenate([u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)])
+    u = np.unique(u[(u >= 0.0) & (u < 1.0)])
+    expect = np.minimum(np.searchsorted(inv.cdf, u, side="right"), inv.last)
+    # the guide starts above the right cell: the search has to walk down
+    assert np.sum(inv.guide[(u * g).astype(np.int64)] > expect) >= len(targets)
+    # one draw per table, so each row of the result is the one-hot of a cell
+    out = np.empty((u.size, 35), dtype=np.int64)
+    source = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)(
+        lambda _, it=iter(u.tolist()): next(it))
+    assert kernel.seqpval_null_draw(source, None, u.size, 1, *inv.args, out.ctypes.data) == 0
+    assert np.array_equal(out.argmax(axis=1), expect) and np.all(out.sum(axis=1) == 1)
+    ref = np.empty_like(out)
+    applications._draw_numpy(inv, 1, _Uniforms(u), ref)
+    assert np.array_equal(out, ref)
+
+
+@pytest.mark.parametrize("kernel_on", [True, False])
+@pytest.mark.parametrize("counts", [
+    [[11, 0], [0, 0]], [[-1, 5], [3, 3]], [[6, 6], [0, 0]], [[6, 0], [6, 0]],
+], ids=["cell_above_N", "negative_cell", "row_sum_above_N", "column_sum_above_N"])
+def test_lrt_rejects_counts_outside_range(kernel_on, counts):
+    # the bad table follows a good one: nothing is read out of range either way
+    batch = np.array([[[3, 2], [1, 4]], counts])
+    lrt = _lrt_batch if kernel_on else lambda *args: numpy_path(_lrt_batch, *args)
+    assert lrt(batch[:1], 10).shape == (1,)
+    with pytest.raises(IndexError):
+        lrt(batch, 10)
 
 
 FALLBACK_SCRIPT = """

@@ -141,13 +141,14 @@ _XLOGX_CACHED = 4
 
 
 @functools.lru_cache(maxsize=_XLOGX_CACHED)
-def _xlogx(n_total: int) -> np.ndarray:
-    """Read-only k log k for k = 0..n_total, with 0 log 0 = 0."""
+def _xlogx(n_total: int) -> tuple[np.ndarray, int]:
+    """Read-only k log k for k = 0..n_total, with 0 log 0 = 0, and its
+    address for the kernel."""
     k = np.arange(1, n_total + 1, dtype=float)
     out = np.zeros(n_total + 1)
     out[1:] = k * np.log(k)
     out.setflags(write=False)
-    return out
+    return out, out.ctypes.data
 
 
 def _lrt_batch(counts: np.ndarray, n_total: int) -> np.ndarray:
@@ -160,7 +161,7 @@ def _lrt_batch(counts: np.ndarray, n_total: int) -> np.ndarray:
     The compiled kernel, when available, gives the same values bit for bit.
     A count or margin outside 0..n_total raises IndexError.
     """
-    x = _xlogx(n_total)
+    x, x_addr = _xlogx(n_total)
     kern = _native.kernel()
     if kern is None:
         if counts.size and counts.min() < 0:
@@ -171,12 +172,13 @@ def _lrt_batch(counts: np.ndarray, n_total: int) -> np.ndarray:
         return 2.0 * (cells - rows - cols + x[n_total])
     size, r, c = counts.shape
     counts = np.ascontiguousarray(counts, dtype=np.int64)
-    out = np.empty(size)
-    work = np.empty(r * c + r + c)
-    if kern.seqpval_lrt(counts.ctypes.data, size, r, c, x.ctypes.data, n_total,
-                        work.ctypes.data, out.ctypes.data) != _native.DONE:
+    # the statistics, then the kernel's work space: one allocation, one address
+    buf = np.empty(size + r * c + r + c)
+    out_addr = buf.ctypes.data
+    if kern.seqpval_lrt(counts.ctypes.data, size, r, c, x_addr, n_total,
+                        out_addr + size * buf.itemsize, out_addr) != _native.DONE:
         raise IndexError(f"a count or margin lies outside 0..{n_total}")
-    return out
+    return buf[:size]
 
 
 def _lrt_rounding_bound(shape: tuple, n_total: int) -> float:

@@ -32,6 +32,7 @@ from .applications import (
 )
 from .boundary import BoundaryTable
 from .inference import (
+    RISK_RESIDUAL,
     confidence_interval,
     expected_stop_time,
     naive_risk,
@@ -189,7 +190,11 @@ def _curve_rows(args, table, ps, want_risk: bool):
             if not rb.certified:
                 print(f"warning: risk bracket at p={float(p)!r} not certified: residual "
                       f"{rb.residual:.3g} at horizon {rb.horizon}", file=sys.stderr)
-            et, _ = expected_stop_time(table, p, args.horizon)
+            et, et_residual = expected_stop_time(table, p, args.horizon)
+            # a bracket swept to this same horizon shows this residual already
+            if et_residual > RISK_RESIDUAL and rb.horizon != args.horizon:
+                print(f"warning: e_tau at p={float(p)!r} truncated: P(tau > {args.horizon}) = "
+                      f"{et_residual:.3g}, so it is E(min(tau, {args.horizon}))", file=sys.stderr)
             residual = rb.residual
             rr_lo, rr_hi = rb.lower, rb.upper
         else:

@@ -253,17 +253,37 @@ def resampling_risk(
                      certified=residual <= RISK_RESIDUAL)
 
 
+#: alive total at which `expected_stop_time` ends its sweep: no later term can
+#: change the float value of E(min(tau, H)).  With u = 2^-53:
+#: - sum_alive starts at 1.0 and only grows, so ulp(S)/2 >= u and S + T
+#:   rounds back to S for every term T < u;
+#: - the float alive cells of a step sum to at most (1 + u)^3 times those of
+#:   the step before (fl(1 - p) + p <= 1 + u/2, then one product and one
+#:   addition per cell; cutting cells off only lowers the sum, and underflow
+#:   adds at most 2^-1074 per cell), and a computed total of w cells is off
+#:   from their exact sum by a factor within 1 -+ (w - 1)u / (1 - (w - 1)u).
+#:   So from a total T_m <= 2^-54 every later total stays below
+#:   2^-54 (1 + u)^(3H) (1 + 2wu + O(u^2)) < u as long as 3H + 2w is far below
+#:   ln(2) / u = 6e15, which holds whenever H w << 6e15;
+#: - (1 + S) - T for T < u is exactly 1 + S, as 1 + S >= 2.
+#: So e_tau equals that of a sweep run to the horizon, bit for bit.
+_ETAU_FLOOR = 2.0**-54
+
+
 def expected_stop_time(table: BoundaryTable, p: float, horizon: int) -> tuple[float, float]:
-    """E_p(min(tau, horizon)) and the residual mass P_p(tau > horizon).
+    """E_p(min(tau, horizon)) and a residual bounding P_p(tau > horizon).
 
     Uses E(min(tau, H)) = sum_{n=0}^{H-1} P(tau > n), accumulated from the
-    alive mass of the sweep.
+    alive mass of the sweep.  The sweep ends once the alive total is at most
+    _ETAU_FLOOR, where no later term can change the value; the residual is
+    the alive total at the last step swept, P(tau > horizon) itself when the
+    sweep reaches the horizon and an upper bound of at most 2^-54 otherwise.
     """
-    st = _sweep(table, p, horizon)
+    st = _sweep(table, p, horizon, alive_floor=_ETAU_FLOOR)
     residual = _alive_total(st)
-    # sum_alive includes the alive total after step `horizon`; the truncated
-    # expectation needs terms n = 0 .. horizon-1 only (a sweep that exits
-    # early has alive total 0.0, so the missing terms are zero too)
+    # sum_alive includes the alive total after the last step swept; the
+    # truncated expectation needs terms n = 0 .. horizon-1 only (terms below
+    # 2^-53 change neither sum, see _ETAU_FLOOR)
     return 1.0 + st.sum_alive - residual, residual
 
 
@@ -344,8 +364,14 @@ class StoppingCounts:
             raise ValueError(f"p must be in [0, 1], got {p}")
         from scipy.special import xlog1py, xlogy  # slow to import; import on first use
 
-        logw = self.log_count + xlogy(self._s_f, p) + xlog1py(self._f_f, -p)
-        return np.exp(logw)
+        if 0.0 < p < 1.0:
+            # xlogy(s, p) is s * log(p) for finite log(p): the same products
+            # in the same order as the array form, from two scalar logs
+            logw = self.log_count + self._s_f * xlogy(1.0, p) + self._f_f * xlog1py(1.0, -p)
+        else:
+            # 0 * log(0) must be 0 here, which only the array form gives
+            logw = self.log_count + xlogy(self._s_f, p) + xlog1py(self._f_f, -p)
+        return np.exp(logw, out=logw)
 
     def estimate_ge_mask(self, num: int, den: int) -> np.ndarray:
         """Mask of outcomes whose estimate s/tau is >= num/den (exact rationals)."""

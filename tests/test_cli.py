@@ -195,6 +195,18 @@ def test_risk_warns_on_uncertified_rows():
     assert line.startswith("warning: risk bracket at p=0.05 not certified")
 
 
+def test_risk_warns_on_truncated_e_tau():
+    # at p = 0.075 E(tau) is truncated at 500 (P(tau > 500) = 0.889), below
+    # its Wald bound; at p = 0.3 it is not
+    code, out, err = invoke(["risk", "--p", "0.075,0.3", "--horizon", "500"])
+    assert code == EXIT_OK
+    rows = [[float(x) for x in line.split(",")] for line in out.splitlines()[1:]]
+    assert len(rows) == 2 and rows[0][3] < rows[0][5]
+    (line,) = err.splitlines()
+    assert line == ("warning: e_tau at p=0.075 truncated: P(tau > 500) = 0.889, "
+                    "so it is E(min(tau, 500))")
+
+
 def test_risk_p_one_row():
     code, out, _ = invoke(["risk", "--p", "1.0", "--horizon", "500"])
     assert code == EXIT_OK

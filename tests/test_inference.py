@@ -7,9 +7,11 @@ import pytest
 
 from seqpval.boundary import BoundaryTable
 from seqpval.inference import (
+    _ETAU_FLOOR,
     SIDE_LOWER,
     SIDE_UPPER,
     StoppingCounts,
+    _sweep,
     confidence_interval,
     confidence_interval_running,
     expected_stop_time,
@@ -158,20 +160,21 @@ def test_risk_at_threshold_reports_residual(default_table):
     assert capped.residual > 1e-8 and not capped.certified
 
 
-# (value, residual) at horizon 20,000, as computed while expected_stop_time still
-# special-cased a sweep that ends early; every p but 0.01, 0.03, 0.075 and 0.12
-# ends the sweep early, on an alive total of 0.0
+# (value, residual) at horizon 20,000; the values as computed while
+# expected_stop_time still special-cased a sweep that ends early.  Every p but
+# 0 and 1 ends the sweep once the alive total is at most 2^-54, with that total
+# as its residual; p = 0 and 1 end on an alive total of 0.0
 @pytest.mark.parametrize("p, expected", [
     (0.0, (173.0, 0.0)),
-    (0.001, (184.25223474472466, 0.0)),
-    (0.01, (323.66069308186985, 1.830805820772085e-271)),
-    (0.03, (1557.7814143046248, 3.098658180507982e-26)),
-    (0.075, (1301.8183214113644, 6.1636729352294945e-25)),
-    (0.12, (216.3364225545175, 5.4207518507659585e-202)),
-    (0.2, (65.56579988216872, 0.0)),
-    (0.3, (30.74083981529908, 0.0)),
-    (0.5, (13.075601499606211, 0.0)),
-    (0.9, (5.584416920168089, 0.0)),
+    (0.001, (184.25223474472466, 5.925718107333511e-18)),
+    (0.01, (323.66069308186985, 4.9050539771207256e-17)),
+    (0.03, (1557.7814143046248, 5.5131923985846016e-17)),
+    (0.075, (1301.8183214113644, 5.5381732448834194e-17)),
+    (0.12, (216.3364225545175, 5.507223843859015e-17)),
+    (0.2, (65.56579988216872, 5.042058900003153e-17)),
+    (0.3, (30.74083981529908, 4.8494003625088726e-17)),
+    (0.5, (13.075601499606211, 4.100386703720809e-17)),
+    (0.9, (5.584416920168089, 1.0677536595986141e-17)),
     (1.0, (5.0, 0.0)),
 ])
 def test_expected_stop_time_pinned(default_table, p, expected):
@@ -202,6 +205,21 @@ def test_expected_stop_time_matches_distribution(default_table):
 def test_expected_stop_time_exceeds_wald(default_table):
     et, _ = expected_stop_time(default_table, 0.1, 100_000)
     assert et >= wald_lower_bound(0.1, 1e-3, 0.05) * 0.999
+
+
+@pytest.mark.parametrize("horizon", [300, 3000, 20_000])
+def test_expected_stop_time_early_exit_is_exact(default_table, horizon):
+    # the sweep's exit at _ETAU_FLOOR against a sweep run to the horizon
+    for p in (0.0, 1e-4, 0.001, 0.01, 0.03, 0.0508, 0.075, 0.12, 0.2, 0.3, 0.5, 0.9, 1.0):
+        full = _sweep(default_table, p, horizon)
+        full_residual = float(full.alive.sum())
+        et, residual = expected_stop_time(default_table, p, horizon)
+        assert et == 1.0 + full.sum_alive - full_residual, p
+        assert residual >= full_residual, p
+        if _sweep(default_table, p, horizon, alive_floor=_ETAU_FLOOR).n < horizon:
+            assert residual <= 2.0**-54, p
+        else:
+            assert residual == full_residual, p
 
 
 # -- path counts ------------------------------------------------------------
@@ -268,6 +286,16 @@ def test_counts_refuse_underflowing_null_masses():
 def test_counts_endpoint_masses(default_table, counts):
     assert counts.masses(0.0).sum() == pytest.approx(1.0)
     assert counts.masses(1.0).sum() == pytest.approx(1.0)
+
+
+def test_counts_masses_equal_array_formula(counts):
+    from scipy.special import xlog1py, xlogy
+
+    s_f = counts.s.astype(float)
+    f_f = (counts.tau - counts.s).astype(float)
+    for p in (0.0, 1e-300, 1e-4, 0.03, 0.05, 0.0508, 0.2, 0.5, 0.9, 1 - 1e-16, 1.0):
+        expected = np.exp(counts.log_count + xlogy(s_f, p) + xlog1py(f_f, -p))
+        assert np.array_equal(counts.masses(p), expected), p
 
 
 def test_counts_extend_is_idempotent(default_table):

@@ -135,39 +135,28 @@ class BoundaryTable:
     def delta(self, n: int) -> float:
         return self.spending.delta(n)
 
-    def chernoff_rates(self, n: int) -> tuple[float, float]:
-        """Rates (q_lo, q_hi) with L_n >= n*q_lo - 1 and U_n <= n*q_hi + 1.
+    def chernoff_covers(self, n: int, lo: float, hi: float) -> bool:
+        """Whether the Chernoff envelope at step n lies inside [lo, hi], a side
+        at the clip bound (lo <= 0, hi >= 1) always; one KL evaluation per side.
 
         By the Chernoff bound, P_alpha(S_n >= j) <= exp(-n * KL(j/n || alpha))
-        for j/n > alpha.  So every j >= n*q_hi has upper-tail mass at most
-        eps_n - eps_{n-1}; at most eps_{n-1} has hit the upper boundary
-        before, so the recursion admits j and U_n <= ceil(n*q_hi).  Likewise
-        L_n >= floor(n*q_lo) below alpha.  Where KL never reaches the needed
-        level the rate is the trivial 0 or 1, which still bounds L_n >= -1 and
-        U_n <= n + 1.  By Pinsker's inequality the rates lie within delta(n)/n
-        of alpha.
+        for j/n > alpha.  Let c = -log(eps_n - eps_{n-1})/n.  KL(. || alpha)
+        increases on [alpha, 1], so for a rate q > alpha with KL(q) >= c every
+        j >= n*q has upper-tail mass at most eps_n - eps_{n-1}; at most
+        eps_{n-1} has hit the upper boundary before, so the recursion admits j
+        and U_n <= ceil(n*q) <= n*q + 1.  The upper side passes when KL(q) >= c
+        holds in floats at q = hi - 1/n > alpha, so U_n <= n*hi.  The lower side
+        is the mirror image at q = lo + 1/n < alpha, where L_n >= floor(n*q)
+        >= n*lo.  With no budget spent at n (a zero increment) only a clipped
+        side passes.
         """
-        inc = self.spending.increment(n)
-        if inc <= 0.0:
-            return (0.0, 1.0)
-        c = -math.log(inc) / n
         a = self.alpha
-
-        def rate(edge: float) -> float:
-            # the point between alpha and edge where KL first reaches c,
-            # rounded outward so that KL(rate) >= c holds in floats
-            if _bernoulli_kl(edge, a) < c:
-                return edge
-            inside, outside = a, edge
-            for _ in range(64):
-                mid = 0.5 * (inside + outside)
-                if _bernoulli_kl(mid, a) >= c:
-                    outside = mid
-                else:
-                    inside = mid
-            return outside
-
-        return (rate(0.0), rate(1.0))
+        inc = self.spending.increment(n)
+        c = -math.log(inc) / n if inc > 0.0 else math.inf
+        q_hi = hi - 1.0 / n
+        q_lo = lo + 1.0 / n
+        return ((hi >= 1.0 or (q_hi > a and _bernoulli_kl(q_hi, a) >= c))
+                and (lo <= 0.0 or (q_lo < a and _bernoulli_kl(q_lo, a) >= c)))
 
     def _check_range(self, n: int):
         if not (1 <= n <= self.n_max):

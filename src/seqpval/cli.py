@@ -185,12 +185,15 @@ def _parse_grid(spec: str) -> np.ndarray:
 def _curve_rows(args, table, ps, want_risk: bool):
     rows = []
     for p in ps:
+        try:
+            rb = resampling_risk(table, p, args.horizon) if want_risk else None
+            et, et_residual = expected_stop_time(table, p, args.horizon)
+        except ValueError as exc:  # p outside [0, 1] or a horizon below 1
+            raise ConfigError(str(exc)) from None
         if want_risk:
-            rb = resampling_risk(table, p, args.horizon)
             if not rb.certified:
                 print(f"warning: risk bracket at p={float(p)!r} not certified: residual "
                       f"{rb.residual:.3g} at horizon {rb.horizon}", file=sys.stderr)
-            et, et_residual = expected_stop_time(table, p, args.horizon)
             # a bracket swept to this same horizon shows this residual already
             if et_residual > RISK_RESIDUAL and rb.horizon != args.horizon:
                 print(f"warning: e_tau at p={float(p)!r} truncated: P(tau > {args.horizon}) = "
@@ -198,7 +201,7 @@ def _curve_rows(args, table, ps, want_risk: bool):
             residual = rb.residual
             rr_lo, rr_hi = rb.lower, rb.upper
         else:
-            et, residual = expected_stop_time(table, p, args.horizon)
+            residual = et_residual
             rr_lo = rr_hi = float("nan")
         try:
             wald = wald_lower_bound(p, table.spending.epsilon, table.alpha)

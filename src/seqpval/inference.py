@@ -190,12 +190,16 @@ class OutcomeDistribution:
         return self.side_mass(SIDE_LOWER)
 
 
-def outcome_distribution(table: BoundaryTable, p: float, horizon: int) -> OutcomeDistribution:
-    """Forward recursion under Bernoulli(p) against the table's boundaries."""
+def _check_sweep_args(p: float, horizon: int):
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p must be in [0, 1], got {p}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
+
+
+def outcome_distribution(table: BoundaryTable, p: float, horizon: int) -> OutcomeDistribution:
+    """Forward recursion under Bernoulli(p) against the table's boundaries."""
+    _check_sweep_args(p, horizon)
     st = _sweep(table, p, horizon, record=True)
     tau, s, side, prob = st.stops
     return OutcomeDistribution(
@@ -234,6 +238,7 @@ def resampling_risk(
     there - the expected stopping time is infinite at the threshold).  A
     bracket whose residual stays above RISK_RESIDUAL has `certified` False.
     """
+    _check_sweep_args(p, horizon)
     at_alpha = abs(p - table.alpha) < 1e-12
     h = horizon
     wrong_side = SIDE_UPPER if p <= table.alpha else SIDE_LOWER
@@ -279,6 +284,7 @@ def expected_stop_time(table: BoundaryTable, p: float, horizon: int) -> tuple[fl
     the alive total at the last step swept, P(tau > horizon) itself when the
     sweep reaches the horizon and an upper bound of at most 2^-54 otherwise.
     """
+    _check_sweep_args(p, horizon)
     st = _sweep(table, p, horizon, alive_floor=_ETAU_FLOOR)
     residual = _alive_total(st)
     # sum_alive includes the alive total after the last step swept; the

@@ -130,14 +130,18 @@ def interim_interval(table: BoundaryTable, n: int) -> tuple[float, float]:
     U_{nu-1}/nu over non-rising U, with nu scanned over (n, m].  Both edges
     are estimates that some run alive at n produces.
 
-    Beyond the scanned window the Chernoff envelope [q_lo - 1/m, q_hi + 1/m]
-    at the window end m takes over (see ``BoundaryTable.chernoff_rates``):
-    it bounds every stop estimate after m as long as the envelope narrows
-    with m, as it does for the default spending sequence.  The window starts
-    at ceil(2/alpha) steps and doubles until that envelope lies inside the
-    scanned extremes, so the result does not depend on the first window.  If
-    it never does within 64 doublings, the trivially sound (0, 1) is
-    returned.
+    Beyond the scanned window the Chernoff envelope at the window end m
+    takes over (see ``BoundaryTable.chernoff_covers``, one KL evaluation per
+    side): once it lies inside the scanned extremes, it bounds every stop
+    estimate after m as long as the envelope narrows with m, as it does for
+    the default spending sequence.  So the edges are the extremes over all
+    nu > n, whichever m certifies them.  The first window has ceil(2/alpha)
+    steps and doubles while an edge is missing; once both exist, the least
+    horizon whose envelope they cover is found by doubling and bisecting m on
+    the envelope test alone, and the scan jumps straight to it.  Extremes
+    found on the way only widen the hull, so the envelope there still lies
+    inside it.  If no horizon is certified within 64 rounds, the trivially
+    sound (0, 1) is returned.
     """
     (lo_num, lo_den), (hi_num, hi_den) = interim_edges(table, n)
     return (lo_num / lo_den, hi_num / hi_den)
@@ -154,10 +158,9 @@ def interim_edges(table: BoundaryTable, n: int) -> tuple[tuple[int, int], tuple[
         raise ValueError(f"n must be >= 1, got {n}")
     win = max(1, math.ceil(2.0 / table.alpha))
     lo_edge = hi_edge = None
-    lo_done = hi_done = False
     scanned = n  # last nu already included in the extremes (nu = n never stops)
+    m = n + win
     for _ in range(64):
-        m = scanned + win
         table.extend(m)
         nu = np.arange(scanned + 1, m + 1, dtype=float)
         up = table.upper_array(m)
@@ -170,18 +173,43 @@ def interim_edges(table: BoundaryTable, n: int) -> tuple[tuple[int, int], tuple[
         w_hi = hi_edge[0] / hi_edge[1] if hi_edge else -math.inf
         w_lo = lo_edge[0] / lo_edge[1] if lo_edge else math.inf
         scanned = m
-        q_lo, q_hi = table.chernoff_rates(m)
-        # an edge already at the clip bound [0, 1] needs no envelope
-        hi_done = w_hi >= 1.0 or q_hi + 1.0 / m <= w_hi
-        lo_done = w_lo <= 0.0 or q_lo - 1.0 / m >= w_lo
-        if hi_done and lo_done:
+        if table.chernoff_covers(m, w_lo, w_hi):
+            return (0, 1) if w_lo <= 0.0 else lo_edge, (1, 1) if w_hi >= 1.0 else hi_edge
+        if hi_edge is None or lo_edge is None:
+            win *= 2
+            m = scanned + win
+        else:
+            m = _least_covered(table, scanned, win, w_lo, w_hi)
+            if m is None:
+                break
+    # envelope never dominated (pathological spending); fall back to the
+    # trivially sound interval
+    return (0, 1), (1, 1)
+
+
+def _least_covered(table: BoundaryTable, m: int, step: int, w_lo: float, w_hi: float):
+    """A horizon after m whose Chernoff envelope lies inside [w_lo, w_hi], or
+    None if none does within 64 doublings of `step`.
+
+    The distance from m doubles until the envelope test passes and is then
+    bisected, so the result is the least such horizon when the test, once
+    passed, stays passed as m grows; the test passes there in any case.
+    """
+    below = m
+    for _ in range(64):
+        above = m + step
+        if table.chernoff_covers(above, w_lo, w_hi):
             break
-        win *= 2
-    if not (hi_done and lo_done):
-        # envelope never dominated (pathological spending); fall back to the
-        # trivially sound interval
-        return (0, 1), (1, 1)
-    return (0, 1) if w_lo <= 0.0 else lo_edge, (1, 1) if w_hi >= 1.0 else hi_edge
+        below, step = above, 2 * step
+    else:
+        return None
+    while above - below > 1:
+        mid = (below + above) // 2
+        if table.chernoff_covers(mid, w_lo, w_hi):
+            above = mid
+        else:
+            below = mid
+    return above
 
 
 def _extreme(edge, nums: np.ndarray, nu: np.ndarray, reach: np.ndarray, sign: int):

@@ -218,6 +218,19 @@ def test_risk_p_one_row():
     assert e_tau == pytest.approx(round(e_tau))  # deterministic stopping step
 
 
+@pytest.mark.parametrize("argv", [
+    ["etau", "--p", "1.5,-0.1", "--horizon", "200"],
+    ["risk", "--p", "0.3,1.5", "--horizon", "200"],
+    ["risk", "--p", "0.3", "--horizon", "0"],
+    ["etau", "--p", "0.3", "--horizon", "0"],
+])
+def test_curves_reject_p_outside_unit_interval_and_horizon_below_one(argv):
+    code, out, err = invoke(argv)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_etau_json_format():
     code, out, _ = invoke(
         ["etau", "--p", "0.3", "--horizon", "500", "--format", "json"]

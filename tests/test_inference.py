@@ -85,10 +85,10 @@ def test_distribution_matches_simulation(default_table):
 
 
 def test_invalid_inputs(default_table):
-    with pytest.raises(ValueError):
-        outcome_distribution(default_table, 1.5, 100)
-    with pytest.raises(ValueError):
-        outcome_distribution(default_table, 0.5, 0)
+    for sweep in (outcome_distribution, resampling_risk, expected_stop_time):
+        for p, horizon in ((1.5, 100), (-0.1, 100), (0.5, 0), (0.3, -5)):
+            with pytest.raises(ValueError):
+                sweep(default_table, p, horizon)
 
 
 # -- risk -------------------------------------------------------------------

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from test_boundary import chernoff_rates
 
-from seqpval.boundary import compute_table
+from seqpval.boundary import BoundaryTable, compute_table
 from seqpval.runner import (
     LOWER,
     STOPPED,
@@ -12,10 +15,13 @@ from seqpval.runner import (
     SamplerError,
     TextBitSource,
     get_table,
+    _extreme,
     h_alpha,
+    interim_edges,
     interim_interval,
     run,
 )
+from seqpval.spending import SpendingSequence
 
 
 def first_upper_step(table, n_max=500):
@@ -208,6 +214,50 @@ def test_interim_edges_are_attained(default_table):
 def test_interim_early_steps_are_trivial(default_table):
     lo, hi = interim_interval(default_table, 1)
     assert lo == 0.0 and hi <= 1.0
+
+
+def doubling_scan_edges(table, n):
+    """`interim_edges` by a window that doubles from ceil(2/alpha) steps until
+    the envelope of the bisected Chernoff rates at its end lies inside the
+    scanned extremes: the reference for the one-test jump."""
+    win = max(1, math.ceil(2.0 / table.alpha))
+    lo_edge = hi_edge = None
+    scanned = n
+    for _ in range(64):
+        m = scanned + win
+        table.extend(m)
+        nu = np.arange(scanned + 1, m + 1, dtype=float)
+        up = table.upper_array(m)
+        lo = table.lower_array(m)
+        up_prev, up_cur = up[scanned - 1 : m - 1], up[scanned:m]
+        lo_prev, lo_cur = lo[scanned - 1 : m - 1], lo[scanned:m]
+        hi_edge = _extreme(hi_edge, up_prev, nu, up_cur <= up_prev, sign=1)
+        lo_edge = _extreme(lo_edge, lo_prev + 1, nu, lo_cur > lo_prev, sign=-1)
+        w_hi = hi_edge[0] / hi_edge[1] if hi_edge else -math.inf
+        w_lo = lo_edge[0] / lo_edge[1] if lo_edge else math.inf
+        scanned = m
+        q_lo, q_hi = chernoff_rates(table, m)
+        hi_done = w_hi >= 1.0 or q_hi + 1.0 / m <= w_hi
+        lo_done = w_lo <= 0.0 or q_lo - 1.0 / m >= w_lo
+        if hi_done and lo_done:
+            return (0, 1) if w_lo <= 0.0 else lo_edge, (1, 1) if w_hi >= 1.0 else hi_edge
+        win *= 2
+    return (0, 1), (1, 1)
+
+
+@pytest.mark.parametrize("alpha, epsilon, k", [
+    (0.05, 1e-3, 1000), (0.1, 1e-3, 1000), (0.01, 1e-3, 1000), (0.1, 1e-2, 100), (0.2, 0.05, 50)])
+def test_interim_edges_equal_doubling_scan(alpha, epsilon, k):
+    table = BoundaryTable(alpha, SpendingSequence.default(epsilon, k))
+    for n in list(range(1, 300)) + list(range(300, 12_001, 37)) + [20_000, 40_000, 60_000]:
+        assert interim_edges(table, n) == doubling_scan_edges(table, n), n
+
+
+def test_interim_reach_at_10000():
+    # the least certified horizon, not the end of a doubled window (30,440)
+    table = BoundaryTable(0.05, SpendingSequence.default(1e-3, 1000))
+    assert interim_edges(table, 10_000) == ((410, 10_003), (596, 10_004))
+    assert table.n_max <= 25_000
 
 
 # -- table cache and combinator ---------------------------------------------

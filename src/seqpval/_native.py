@@ -67,21 +67,67 @@ def ptr(arr: np.ndarray, dtype) -> int:
     return arr.ctypes.data
 
 
-def work_buffer(alive: np.ndarray, n: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
-    """A kernel work buffer holding `alive`, and its state (n, start, w, off)."""
-    w = alive.size
-    buf = np.empty(2 * w + 64)
-    buf[:w] = alive
-    return buf, np.array([n, 0, w, offset], dtype=np.int64)
+class Lattice:
+    """The alive cells of a lattice recursion, in the kernels' own layout.
 
+    ``buf[start : start + w]`` holds the masses of S = off .. off + w - 1
+    after step n, with ``st = (n, start, w, off)`` (see ``_kernel.c``), and
+    ``acc`` the recursion's running sums: (hu, hl) for a boundary table, the
+    summed alive totals for a sweep.  A kernel function steps the cells in
+    place through ``call``; the numpy loops read ``alive``, ``n`` and
+    ``offset`` and write their result back with ``set``.
+    """
 
-def regrow(buf: np.ndarray, st: np.ndarray) -> np.ndarray:
-    """Double a work buffer, moving its alive cells to the front (after ROOM)."""
-    start, w = int(st[1]), int(st[2])
-    out = np.empty(2 * buf.size)
-    out[:w] = buf[start : start + w]
-    st[1] = 0
-    return out
+    def __init__(self, alive, n: int, offset: int, acc):
+        self.st = np.zeros(4, dtype=np.int64)
+        self.acc = np.array(acc, dtype=np.float64)
+        # st and acc are never reallocated, so their addresses hold for good
+        self._st_address = ptr(self.st, np.int64)
+        self._acc_address = ptr(self.acc, np.float64)
+        self._buf = np.empty(0)
+        self.set(alive, n, offset)
+
+    @property
+    def n(self) -> int:
+        """The last completed step."""
+        return int(self.st[0])
+
+    @property
+    def offset(self) -> int:
+        """The value of S that the first alive cell holds."""
+        return int(self.st[3])
+
+    @property
+    def alive(self) -> np.ndarray:
+        """A view of the alive cells, valid until the lattice next changes."""
+        start, w = int(self.st[1]), int(self.st[2])
+        return self._buf[start : start + w]
+
+    def set(self, alive, n: int, offset: int, *acc):
+        """Make `alive` the cells after step n, from S = offset on, and, when
+        given, `acc` the running sums."""
+        w = len(alive)
+        if self._buf.size <= w:  # no room for the next step's w + 1 cells
+            self._buf = np.empty(2 * w + 64)
+            self._buf_address = ptr(self._buf, np.float64)
+        self._buf[:w] = alive
+        self.st[:] = (n, 0, w, offset)
+        if acc:
+            self.acc[:] = acc
+
+    def copy(self) -> "Lattice":
+        return Lattice(self.alive, self.n, self.offset, self.acc)
+
+    def call(self, fn, *args) -> int:
+        """Run the kernel function fn(buf, cap, st, acc, *args) on the cells,
+        growing the buffer each time it returns ROOM; returns its other
+        return code.  The cells, st and acc are where the call left them."""
+        while True:
+            rc = fn(self._buf_address, self._buf.size, self._st_address, self._acc_address, *args)
+            if rc != ROOM:
+                return rc
+            # the buffer cannot hold w + 1 cells, so this moves them to a larger one
+            self.set(self.alive, self.n, self.offset)
 
 
 def _cache_dir() -> str | None:

@@ -23,6 +23,7 @@ import numpy as np
 from . import _native
 from .boundary import BoundaryTable
 from .runner import LOWER, RunResult, get_table, interim_interval, run
+from .spending import SpendingSequence
 
 
 class DataError(ValueError):
@@ -510,6 +511,10 @@ class _NestedStream:
         self.drawn = 0
 
     def take(self, m: int) -> np.ndarray:
+        # at most 8, then 16, then 32 bits a take (as long as the takes are
+        # full): every outer bit is an entire truncated inner run, so small
+        # takes compute few past the outer stop
+        m = min(m, 32, 8 + len(self.costs))
         out = np.empty(m, dtype=np.int8)
         for i in range(m):
             inner = self._inner_stream()
@@ -556,10 +561,7 @@ def check_level_bootstrap(
     frac = Fraction(inner_alpha).limit_denominator(10**6)
     bounds = _ClippedBounds(cfg.table(inner_alpha), M, frac.numerator, frac.denominator)
     stream = _InnerLevelStream(model, t_crit, bounds, cfg.rng())
-    # each outer bit costs up to M inner samples; keep chunks small so the
-    # crossing scan does not draw far past the outer stopping point
-    res = run(cfg.table(outer_alpha), stream, max_steps=cfg.max_steps,
-              initial_chunk=8, max_chunk=32)
+    res = run(cfg.table(outer_alpha), stream, max_steps=cfg.max_steps)
     return BootstrapReport(
         statistic=t_crit, chisq_p=inner_alpha, result=res,
         samples_used=sum(stream.costs[:res.n]),
@@ -618,11 +620,11 @@ def double_bootstrap(
             f"first-stage estimate p1={hits}/{first_stage} is degenerate; "
             "increase the budget"
         )
-    bounds = _ClippedBounds(cfg.table(hits / first_stage), M, hits, first_stage)
+    # a private table: the shared cache would keep one per first-stage estimate
+    p1_table = BoundaryTable(hits / first_stage, SpendingSequence.default(cfg.epsilon, cfg.k))
+    bounds = _ClippedBounds(p1_table, M, hits, first_stage)
     stream = _DoubleBootstrapStream(model, bounds, rng)
-    # chunks stay small: every outer bit is an entire truncated inner run
-    res = run(cfg.table(), stream, max_steps=cfg.max_steps,
-              initial_chunk=8, max_chunk=32)
+    res = run(cfg.table(), stream, max_steps=cfg.max_steps)
     return BootstrapReport(
         statistic=t_obs,
         chisq_p=chisq_pvalue(t_obs, data.df),

@@ -83,18 +83,12 @@ class BoundaryTable:
         # seed state after step 1: U_1 = 2, L_1 = -1, S_1 ~ Bernoulli(alpha)
         self._upper[1] = 2
         self._lower[1] = -1
+        self._eps[1] = spending.values(1)[0]
         self.n_max = 1
-        self._alive = np.array([1.0 - alpha, alpha])
-        self._alive_offset = 0
-        self._hu = 0.0
-        self._hl = 0.0
+        # the alive cells after n_max, with the hit sums (hu, hl) as acc
+        self._lattice = _native.Lattice([1.0 - alpha, alpha], 1, 0, (0.0, 0.0))
         self._resumable = True
         self._lock = threading.Lock()
-        # the kernel's work buffer, state (n, start, w, off) and hit sums
-        self._set_work(np.empty(64))
-        self._st = np.zeros(4, dtype=np.int64)
-        self._h = np.zeros(2)
-        self._state_addresses = (_native.ptr(self._st, np.int64), _native.ptr(self._h, np.float64))
 
     # -- accessors ---------------------------------------------------------
 
@@ -126,11 +120,13 @@ class BoundaryTable:
     @property
     def alive_mass(self) -> np.ndarray:
         """P_alpha(tau > n_max, S_{n_max} = j) for j starting at alive_offset."""
-        return self._alive.copy()
+        with self._lock:  # an extension steps the cells in place
+            return self._lattice.alive.copy()
 
     @property
     def alive_offset(self) -> int:
-        return self._alive_offset
+        with self._lock:
+            return self._lattice.offset
 
     def delta(self, n: int) -> float:
         return self.spending.delta(n)
@@ -164,7 +160,8 @@ class BoundaryTable:
 
     def mass_conservation_error(self) -> float:
         with self._lock:  # the alive state and hit sums of one step
-            return abs(float(self._alive.sum()) + self._hu + self._hl - 1.0)
+            lat = self._lattice
+            return abs(float(lat.alive.sum()) + float(lat.acc[0]) + float(lat.acc[1]) - 1.0)
 
     def check_conservation(self):
         err = self.mass_conservation_error()
@@ -223,10 +220,10 @@ class BoundaryTable:
         """The reference recursion, one numpy step per boundary step."""
         eps = self._eps[1:]  # eps[n - 1] is the budget of step n
         alpha = self.alpha
-        alive = self._alive
-        off = self._alive_offset
-        hu = self._hu
-        hl = self._hl
+        lat = self._lattice
+        alive = lat.alive
+        off = lat.offset
+        hu, hl = lat.acc.tolist()
         upper, lower = self._upper, self._lower
         hit_u, hit_l = self._hit_upper, self._hit_lower
         for n in range(self.n_max + 1, n_target + 1):
@@ -261,55 +258,31 @@ class BoundaryTable:
             lower[n] = l_n
             hit_u[n] = hu
             hit_l[n] = hl
-        self._alive = alive
-        self._alive_offset = off
-        self._hu = hu
-        self._hl = hl
+        lat.set(alive, n_target, off, hu, hl)
 
     def _extend_kernel(self, kern, n_target: int):
         """The same recursion in the compiled kernel (``_kernel.c``).
 
         The kernel writes the per-step arrays through the addresses
-        ``_allocate`` recorded, and steps a copy of the alive cells in the
-        table's work buffer, with the state and hit sums in ``_st`` and
-        ``_h``, through the addresses ``_set_work`` and ``__init__``
-        recorded.  They stay valid because they are only reallocated under
-        the lock this runs under.  A call that fails publishes nothing: the
-        alive state is copied out of the work buffer only on success.
+        ``_allocate`` recorded, which stay valid because they are only
+        reallocated under the lock this runs under, and steps the lattice's
+        cells in place.  A call that fails publishes nothing: the cells and
+        hit sums are put back as they were.
         """
         upper, lower, hit_u, hit_l, eps = self._addresses
         eps += np.dtype(np.float64).itemsize  # eps_1 is at index 1
-        st, h = self._st, self._h
-        w = self._alive.size
-        if self._work.size < 2 * w + 64:
-            self._set_work(np.empty(2 * w + 64))
-        self._work[:w] = self._alive
-        st[0], st[1], st[2], st[3] = self.n_max, 0, w, self._alive_offset
-        h[0], h[1] = self._hu, self._hl
-        while True:
-            rc = kern.seqpval_boundary(
-                self._work_address, self._work.size, *self._state_addresses, self.alpha, eps,
-                int(n_target), upper, lower, hit_u, hit_l,
-            )
-            if rc != _native.ROOM:
-                break
-            self._set_work(_native.regrow(self._work, st))
+        lat = self._lattice
+        before = (lat.alive.copy(), lat.n, lat.offset, *lat.acc)
+        rc = lat.call(kern.seqpval_boundary, self.alpha, eps, int(n_target),
+                      upper, lower, hit_u, hit_l)
         if rc == _native.DEGENERATE:
-            raise DegenerateBoundaryError(int(st[0]) + 1)
-        _, start, w, off = st.tolist()
-        self._alive = self._work[start : start + w].copy()
-        self._alive_offset = off
-        self._hu = float(h[0])
-        self._hl = float(h[1])
-
-    def _set_work(self, buf: np.ndarray):
-        """Make `buf` the kernel's work buffer and record its address."""
-        self._work = buf
-        self._work_address = _native.ptr(buf, np.float64)
+            step = lat.n + 1
+            lat.set(*before)
+            raise DegenerateBoundaryError(step)
 
     # -- persistence -------------------------------------------------------
 
-    def _meta(self) -> dict:
+    def _meta(self, n_max: int) -> dict:
         kind, eps, kref = self.spending.key()
         return {
             "format": FORMAT_VERSION,
@@ -317,7 +290,7 @@ class BoundaryTable:
             "epsilon": eps,
             "spending_kind": kind,
             "spending_ref": kref,
-            "n_max": self.n_max,
+            "n_max": n_max,
         }
 
     def save(self, destination) -> None:
@@ -327,6 +300,12 @@ class BoundaryTable:
         written for paths (a bare stream gets the CSV alone and the loaded
         table will not be extendable).
         """
+        # rows 1..n_max never change once published, but the cells and hit
+        # sums do: take them with n_max, of one step
+        with self._lock:
+            n_max = self.n_max
+            lat = self._lattice.copy()
+        meta = self._meta(n_max)
         close = False
         sidecar = None
         if isinstance(destination, (str, os.PathLike)):
@@ -336,12 +315,11 @@ class BoundaryTable:
         else:
             fh = destination
         try:
-            fh.write("# seqpval-boundaries " + json.dumps(self._meta()) + "\n")
+            fh.write("# seqpval-boundaries " + json.dumps(meta) + "\n")
             fh.write("n,lower,upper,eps_n,hit_lower_cum,hit_upper_cum\n")
-            eps = self.spending.values(self.n_max)
-            for n in range(1, self.n_max + 1):
+            for n in range(1, n_max + 1):
                 fh.write(
-                    f"{n},{self._lower[n]},{self._upper[n]},{float(eps[n - 1])!r},"
+                    f"{n},{self._lower[n]},{self._upper[n]},{float(self._eps[n])!r},"
                     f"{float(self._hit_lower[n])!r},{float(self._hit_upper[n])!r}\n"
                 )
         finally:
@@ -349,11 +327,11 @@ class BoundaryTable:
                 fh.close()
         if sidecar is not None:
             state = {
-                "meta": self._meta(),
-                "alive_offset": self._alive_offset,
-                "alive_mass": [float(x) for x in self._alive],
-                "hit_upper_cum": self._hu,
-                "hit_lower_cum": self._hl,
+                "meta": meta,
+                "alive_offset": lat.offset,
+                "alive_mass": [float(x) for x in lat.alive],
+                "hit_upper_cum": float(lat.acc[0]),
+                "hit_lower_cum": float(lat.acc[1]),
             }
             with open(sidecar, "w") as sf:
                 json.dump(state, sf)
@@ -406,11 +384,10 @@ class BoundaryTable:
         table._upper[1 : n_max + 1] = rows[:, 2].astype(np.int64)
         table._hit_lower[1 : n_max + 1] = rows[:, 4]
         table._hit_upper[1 : n_max + 1] = rows[:, 5]
+        table._eps[1 : n_max + 1] = seq.values(n_max)
         if table._upper[1] != 2 or table._lower[1] != -1:
             raise BoundaryError("boundary file does not start from the seed (U_1, L_1) = (2, -1)")
         table.n_max = n_max
-        table._hu = float(table._hit_upper[n_max])
-        table._hl = float(table._hit_lower[n_max])
         state = None
         if sidecar is not None and os.path.exists(sidecar):
             with open(sidecar) as sf:
@@ -420,17 +397,16 @@ class BoundaryTable:
                 raise BoundaryError(
                     "parameter mismatch between boundary file and alive-state sidecar"
                 )
-            table._alive = np.asarray(state["alive_mass"], dtype=float)
-            table._alive_offset = int(state["alive_offset"])
-            table._hu = float(state["hit_upper_cum"])
-            table._hl = float(state["hit_lower_cum"])
+            table._lattice.set(np.asarray(state["alive_mass"], dtype=float), n_max,
+                               int(state["alive_offset"]), float(state["hit_upper_cum"]),
+                               float(state["hit_lower_cum"]))
             table.check_conservation()
         else:
-            table._alive = np.array([])
-            table._alive_offset = 0
+            # at n_max = 1 the lattice is the seed state; otherwise it is lost
             table._resumable = n_max == 1
-            if table._resumable:
-                table._alive = np.array([1.0 - table.alpha, table.alpha])
+            if not table._resumable:
+                table._lattice.set([], n_max, 0, float(table._hit_upper[n_max]),
+                                   float(table._hit_lower[n_max]))
         return table
 
     def to_csv_string(self) -> str:

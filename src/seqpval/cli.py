@@ -52,6 +52,10 @@ class ConfigError(ValueError):
     pass
 
 
+#: least values of the integer settings, checked before any work is done
+_LEAST = {"n": 1, "max_steps": 1, "report_every": 0, "inner_m": 1, "naive_n": 1}
+
+
 def _build_table(args, load_file: bool = True) -> BoundaryTable:
     # --boundary-file is a load source everywhere except under `boundaries`,
     # where it names the save destination
@@ -113,6 +117,8 @@ def _reap_child(proc, at_eof: bool) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.ci is not None and not (0.0 < args.ci < 1.0):
+        raise ConfigError(f"--ci must be in (0, 1), got {args.ci}")
     table = _build_table(args)
     seed = None
     proc = None
@@ -341,6 +347,10 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad flags, matching our config-error convention
         return int(exc.code) if exc.code else 0
     try:
+        for name, least in _LEAST.items():
+            value = getattr(args, name, None)
+            if value is not None and value < least:
+                raise ConfigError(f"--{name.replace('_', '-')} must be >= {least}, got {value}")
         return args.func(args)
     except (ConfigError, SpendingError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,18 +38,10 @@ CI_CERT_TOL = 1e-4  # an interval is certified when both enclosures are at most 
 # -- forward lattice sweep -------------------------------------------------
 
 
-@dataclass
-class _SweepState:
-    n: int
-    alive: np.ndarray
-    offset: int
-    sum_alive: float = 0.0  # sum over completed steps of total alive mass
-    stops: tuple | None = None  # the last recording call's arrays n, j, side, mass
-
-
-def _initial_state(p: float) -> _SweepState:
-    # after step 1 no stop is possible (U_1 = 2, L_1 = -1)
-    return _SweepState(n=1, alive=np.array([1.0 - p, p]), offset=0, sum_alive=1.0)
+def _initial_state(p: float) -> _native.Lattice:
+    """The sweep's lattice after step 1, where no stop is possible (U_1 = 2,
+    L_1 = -1); its acc sums the alive totals of the completed steps."""
+    return _native.Lattice([1.0 - p, p], 1, 0, (1.0,))
 
 
 #: dtypes of the stop-record arrays n, j, side, mass
@@ -60,31 +52,34 @@ def _sweep(
     table: BoundaryTable,
     p: float,
     horizon: int,
-    state: _SweepState | None = None,
+    state: _native.Lattice | None = None,
     alive_floor: float = 0.0,
-    record: bool = False,
-):
+    record: list | None = None,
+) -> _native.Lattice:
     """Advance the alive-mass recursion to `horizon`, collecting stop events.
 
-    Returns the final state.  With `record`, its `stops` holds the stopped
-    cells of positive mass this call passed, as arrays (n, j, side, mass) in
-    step order, upper cells before lower ones within a step.  When the total
-    alive mass drops to `alive_floor` the sweep exits early (the state's n
-    records how far it got).  Runs the compiled kernel when it is available
-    and the numpy loop otherwise; both give bit-identical states and records.
+    Steps `state` (a fresh lattice when None) in place and returns it.
+    Given a list `record`, appends to it the stopped cells of positive mass
+    this call passed, as four arrays n, j, side, mass in step order, upper
+    cells before lower ones within a step.  When the total alive mass drops
+    to `alive_floor` the sweep exits early (the lattice's n records how far
+    it got).  Runs the compiled kernel when it is available and the numpy
+    loop otherwise; both give bit-identical lattices and records.
     """
     table.extend(horizon)
-    st = state if state is not None else _initial_state(p)
-    kern = _native.kernel() if horizon > st.n else None
+    lat = state if state is not None else _initial_state(p)
+    kern = _native.kernel() if horizon > lat.n else None
     if kern is not None:
-        return _sweep_kernel(kern, table, p, horizon, st, alive_floor, record)
+        return _sweep_kernel(kern, table, p, horizon, lat, alive_floor, record)
     recs = []
-    alive = st.alive
-    off = st.offset
-    for n in range(st.n + 1, horizon + 1):
+    alive = lat.alive
+    off = lat.offset
+    last = lat.n
+    sum_alive = float(lat.acc[0])
+    for n in range(lat.n + 1, horizon + 1):
         w = alive.size
         if w == 0:
-            st.n = horizon
+            last = horizon
             break
         new = np.empty(w + 1)
         np.multiply(alive, 1.0 - p, out=new[:w])
@@ -93,7 +88,7 @@ def _sweep(
         u_n = table.upper(n)
         l_n = table.lower(n)
         top = off + w
-        if record:
+        if record is not None:
             for side, lo, hi in ((SIDE_UPPER, max(u_n, off), top),
                                  (SIDE_LOWER, off, min(l_n, top))):
                 for j in range(lo, hi + 1):
@@ -102,57 +97,46 @@ def _sweep(
                         recs.append((n, j, side, mass))
         alive = new[max(l_n + 1 - off, 0) : max(u_n - off, 0)]
         off = max(l_n + 1, off)
-        st.n = n
+        last = n
         total = float(alive.sum())
-        st.sum_alive += total
+        sum_alive += total
         if total <= alive_floor:
             break
-    st.alive = alive.copy() if alive.base is not None else alive
-    st.offset = off
-    rows = np.array(recs, dtype=object).reshape(-1, 4)
-    st.stops = tuple(rows[:, i].astype(d) for i, d in enumerate(_STOP_DTYPES)) if record else None
-    return st
+    lat.set(alive, last, off, sum_alive)
+    if record is not None:
+        rows = np.array(recs, dtype=object).reshape(-1, 4)
+        record.extend(rows[:, i].astype(d) for i, d in enumerate(_STOP_DTYPES))
+    return lat
 
 
 #: stop records the kernel may write before its buffers must grow
 _RECORD_BUFFER = 4096
 
 
-def _sweep_kernel(kern, table, p, horizon, st, alive_floor, record):
+def _sweep_kernel(kern, table, p, horizon, lat, alive_floor, record):
     """`_sweep` in the compiled kernel (``_kernel.c``)."""
-    f64, i64, ptr = np.float64, np.int64, _native.ptr
+    i64, ptr = np.int64, _native.ptr
     # views of U_1..U_horizon and L_1..L_horizon; they keep their arrays
     # alive for the whole call even if another thread grows the table
     upper, lower = table.upper_array(horizon), table.lower_array(horizon)
-    buf, state = _native.work_buffer(st.alive, st.n, st.offset)
-    acc = np.array([st.sum_alive])
+    args = (kern.seqpval_sweep, float(p), int(horizon), ptr(upper, i64), ptr(lower, i64),
+            float(alive_floor))
+    if record is None:
+        lat.call(*args, None, None, None, None, 0, None)  # NULL: record nothing
+        return lat
     fill = np.zeros(1, i64)
-    recs = tuple(np.empty(_RECORD_BUFFER, d) for d in _STOP_DTYPES) if record else None
-    while True:
-        record_args = ((*map(ptr, recs, _STOP_DTYPES), recs[0].size, ptr(fill, i64)) if record
-                       else (None, None, None, None, 0, None))  # NULL: record nothing
-        rc = kern.seqpval_sweep(
-            ptr(buf, f64), buf.size, ptr(state, i64), ptr(acc, f64), float(p), int(horizon),
-            ptr(upper, i64), ptr(lower, i64), float(alive_floor), *record_args,
-        )
-        if rc == _native.ROOM:
-            buf = _native.regrow(buf, state)
-        elif rc == _native.FLUSH:
-            # grow, keeping the records; a step records at most w + 1 <= buf.size cells
-            recs = tuple(np.resize(a, max(2 * a.size, int(fill[0]) + buf.size)) for a in recs)
-        else:
-            break
-    n, start, w, off = state.tolist()
-    st.n = n
-    st.alive = buf[start : start + w].copy()
-    st.offset = off
-    st.sum_alive = float(acc[0])
-    st.stops = tuple(a[: int(fill[0])].copy() for a in recs) if record else None
-    return st
+    recs = tuple(np.empty(_RECORD_BUFFER, d) for d in _STOP_DTYPES)
+    while lat.call(*args, *map(ptr, recs, _STOP_DTYPES), recs[0].size,
+                   ptr(fill, i64)) == _native.FLUSH:
+        # grow, keeping the records; the next step records at most w + 1 cells
+        recs = tuple(np.resize(a, max(2 * a.size, int(fill[0]) + lat.alive.size + 1))
+                     for a in recs)
+    record.extend(a[: int(fill[0])].copy() for a in recs)
+    return lat
 
 
-def _alive_total(st: _SweepState) -> float:
-    return float(st.alive.sum())
+def _alive_total(lat: _native.Lattice) -> float:
+    return float(lat.alive.sum())
 
 
 # -- outcome distribution and derived quantities ---------------------------
@@ -200,10 +184,11 @@ def _check_sweep_args(p: float, horizon: int):
 def outcome_distribution(table: BoundaryTable, p: float, horizon: int) -> OutcomeDistribution:
     """Forward recursion under Bernoulli(p) against the table's boundaries."""
     _check_sweep_args(p, horizon)
-    st = _sweep(table, p, horizon, record=True)
-    tau, s, side, prob = st.stops
+    stops = []
+    lat = _sweep(table, p, horizon, record=stops)
+    tau, s, side, prob = stops
     return OutcomeDistribution(
-        p=p, horizon=horizon, tau=tau, s=s, side=side, prob=prob, residual=_alive_total(st)
+        p=p, horizon=horizon, tau=tau, s=s, side=side, prob=prob, residual=_alive_total(lat)
     )
 
 
@@ -242,19 +227,21 @@ def resampling_risk(
     at_alpha = abs(p - table.alpha) < 1e-12
     h = horizon
     wrong_side = SIDE_UPPER if p <= table.alpha else SIDE_LOWER
-    st = _initial_state(p)
+    lat = _initial_state(p)
     wrong = 0.0
     while True:
-        st = _sweep(table, p, h, state=st, alive_floor=RISK_RESIDUAL / 10.0, record=True)
-        mass = st.stops[3][st.stops[2] == wrong_side]
+        stops = []
+        _sweep(table, p, h, lat, alive_floor=RISK_RESIDUAL / 10.0, record=stops)
+        _, _, side, mass = stops
+        mass = mass[side == wrong_side]
         if mass.size:
             # in sequence, as the last partial sum (np.sum would sum pairwise)
             wrong += float(np.cumsum(mass)[-1])
-        residual = _alive_total(st)
+        residual = _alive_total(lat)
         if at_alpha or residual <= RISK_RESIDUAL or h >= max_horizon:
             break
         h = min(2 * h, max_horizon)
-    return RiskBound(p=p, lower=wrong, upper=wrong + residual, horizon=st.n, residual=residual,
+    return RiskBound(p=p, lower=wrong, upper=wrong + residual, horizon=lat.n, residual=residual,
                      certified=residual <= RISK_RESIDUAL)
 
 
@@ -285,12 +272,12 @@ def expected_stop_time(table: BoundaryTable, p: float, horizon: int) -> tuple[fl
     sweep reaches the horizon and an upper bound of at most 2^-54 otherwise.
     """
     _check_sweep_args(p, horizon)
-    st = _sweep(table, p, horizon, alive_floor=_ETAU_FLOOR)
-    residual = _alive_total(st)
-    # sum_alive includes the alive total after the last step swept; the
+    lat = _sweep(table, p, horizon, alive_floor=_ETAU_FLOOR)
+    residual = _alive_total(lat)
+    # the summed alive totals include the one after the last step swept; the
     # truncated expectation needs terms n = 0 .. horizon-1 only (terms below
     # 2^-53 change neither sum, see _ETAU_FLOOR)
-    return 1.0 + st.sum_alive - residual, residual
+    return 1.0 + float(lat.acc[0]) - residual, residual
 
 
 def naive_risk(p: float, n: int, alpha: float) -> float:
@@ -338,7 +325,7 @@ class StoppingCounts:
 
     def __init__(self, table: BoundaryTable, horizon: int):
         self.table = table
-        self._state = _initial_state(table.alpha)
+        self._lattice = _initial_state(table.alpha)
         self.tau, self.s, self.side, self.log_count = (np.empty(0, d) for d in _STOP_DTYPES)
         self.horizon = 0
         self.extend(horizon)
@@ -347,13 +334,13 @@ class StoppingCounts:
         if horizon <= self.horizon:
             return self
         alpha = self.table.alpha
-        first = self._state.n
+        first = self._lattice.n
         # sweep a copy: the state moves on only once the records pass the check
-        st = _sweep(self.table, alpha, horizon, state=replace(self._state), record=True)
-        tau, s, side, mass = st.stops
-        _check_null_masses(self.table, first, st.n, tau, mass)
-        st.stops = None
-        self._state = st
+        stops = []
+        lat = _sweep(self.table, alpha, horizon, self._lattice.copy(), record=stops)
+        tau, s, side, mass = stops
+        _check_null_masses(self.table, first, lat.n, tau, mass)
+        self._lattice = lat
         log_count = np.log(mass) - s * math.log(alpha) - (tau - s) * math.log1p(-alpha)
         self.tau = np.concatenate([self.tau, tau])
         self.s = np.concatenate([self.s, s])
@@ -519,7 +506,7 @@ def confidence_interval(
         if certified or cts.horizon >= max_horizon:
             break
         if cts is counts:
-            # extend rebinds the arrays and state it holds, never writes into them
+            # extend rebinds the arrays and lattice it holds, never writes into them
             cts = copy.copy(counts)
         cts.extend(min(2 * cts.horizon, max_horizon))
     return ConfidenceInterval(p_low=low_enc[0], p_high=high_enc[1], beta=beta, p_obs_num=est[0],

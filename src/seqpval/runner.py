@@ -61,13 +61,13 @@ class RunResult:
 
 
 class BernoulliSampler:
-    """Seeded pseudo-random Bernoulli(p) bit source."""
+    """Seeded pseudo-random Bernoulli(p) bit source; `seed` may be a Generator."""
 
-    def __init__(self, p: float, seed=None, rng: np.random.Generator | None = None):
+    def __init__(self, p: float, seed=None):
         if not (0.0 <= p <= 1.0):
             raise ValueError(f"p must be in [0, 1], got {p}")
         self.p = p
-        self.rng = rng if rng is not None else np.random.default_rng(seed)
+        self.rng = np.random.default_rng(seed)
 
     def take(self, m: int) -> np.ndarray:
         return (self.rng.random(m) < self.p).astype(np.int8)
@@ -230,6 +230,10 @@ def _extreme(edge, nums: np.ndarray, nu: np.ndarray, reach: np.ndarray, sign: in
 
 # -- the driver ------------------------------------------------------------
 
+#: bits run's first take asks for, doubling per take up to MAX_CHUNK
+INITIAL_CHUNK = 32
+MAX_CHUNK = 8192
+
 
 def run(
     table: BoundaryTable,
@@ -238,8 +242,6 @@ def run(
     report_every: int | None = None,
     report_seconds: float | None = None,
     progress=None,
-    initial_chunk: int = 32,
-    max_chunk: int = 8192,
 ) -> RunResult:
     """Drive the test until a boundary is hit, the stream ends, or max_steps.
 
@@ -251,14 +253,17 @@ def run(
     iterable, before the failing bit).  Progress records (dicts with n, s,
     p_min, p_max, elapsed_ms) are delivered to `progress` at the configured
     report points; reporting never changes the consumed bit sequence.
+    `max_steps` below 1 raises ValueError.
     """
+    if max_steps is not None and max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     src = source if hasattr(source, "take") else _IterSource(source)
     n = 0
     s = 0
     t0 = time.monotonic()
     next_report = report_every if report_every else None
     last_report_time = t0
-    chunk = max(1, initial_chunk)
+    chunk = INITIAL_CHUNK
     while True:
         m = chunk
         if max_steps is not None:
@@ -290,7 +295,7 @@ def run(
             return RunResult(STOPPED, n, s, side)
         n += got
         s = int(cum[-1])
-        chunk = min(max_chunk, chunk * 2)
+        chunk = min(MAX_CHUNK, chunk * 2)
         if progress is not None:
             now = time.monotonic()
             due = (next_report is not None and n >= next_report) or (
@@ -319,10 +324,9 @@ _table_cache: dict[tuple, BoundaryTable] = {}
 _table_lock = threading.Lock()
 
 
-def get_table(alpha: float, epsilon: float = 1e-3, k: int = 1000,
-              spending: SpendingSequence | None = None) -> BoundaryTable:
+def get_table(alpha: float, epsilon: float = 1e-3, k: int = 1000) -> BoundaryTable:
     """Shared boundary table keyed by (alpha, spending identity)."""
-    seq = spending if spending is not None else SpendingSequence.default(epsilon, k)
+    seq = SpendingSequence.default(epsilon, k)
     key = (round(alpha, 15),) + seq.key()
     with _table_lock:
         tab = _table_cache.get(key)
@@ -336,8 +340,6 @@ def h_alpha(
     threshold: float,
     source,
     max_steps: int | None = None,
-    epsilon: float = 1e-3,
-    k: int = 1000,
     table: BoundaryTable | None = None,
 ) -> float:
     """Run the test at `threshold` and return the estimate.
@@ -345,5 +347,5 @@ def h_alpha(
     This is the combinator used for nesting: a finite or truncated stream
     yields the running estimate s/n, a stopped run yields s_tau/tau.
     """
-    tab = table if table is not None else get_table(threshold, epsilon, k)
+    tab = table if table is not None else get_table(threshold)
     return run(tab, source, max_steps=max_steps).p_hat

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from seqpval import _native, applications
+from seqpval import _native, applications, runner
 from seqpval.applications import (
     ContingencyTable,
     DataError,
@@ -512,16 +512,32 @@ def test_nested_charge_equals_outer_chunks_of_one(data, monkeypatch, construct):
     chunked = construct(data)
     real_run = applications.run
 
+    class OneBitPerTake:
+        def __init__(self, stream):
+            self.stream = stream
+
+        def take(self, m):
+            return self.stream.take(1)
+
     def one_outer_bit_per_take(table, source, **kwargs):
         if isinstance(source, (applications._DoubleBootstrapStream,
                                applications._InnerLevelStream)):
-            kwargs.update(initial_chunk=1, max_chunk=1)
+            source = OneBitPerTake(source)
         return real_run(table, source, **kwargs)
 
     monkeypatch.setattr(applications, "run", one_outer_bit_per_take)
     single = construct(data)
     assert chunked.result == single.result and chunked.result.stopped
     assert chunked.samples_used == single.samples_used
+
+
+def test_double_bootstrap_leaves_the_table_cache_as_it_was(data):
+    # each seed gives another first-stage estimate, hence another alpha
+    double_bootstrap(data, M=50, config=EngineConfig(seed=0, max_steps=20))
+    size = len(runner._table_cache)
+    for seed in range(1, 6):
+        double_bootstrap(data, M=50, config=EngineConfig(seed=seed, max_steps=20))
+    assert len(runner._table_cache) == size
 
 
 def test_double_bootstrap_side_and_cost(data):
@@ -570,7 +586,7 @@ def z_test_power_stream(effect, alpha=0.05):
     def make(size):
         rng = np.random.default_rng(1000 + size)
         power = 1.0 - norm.cdf(crit - effect * math.sqrt(size))
-        return BernoulliSampler(power, rng=rng)
+        return BernoulliSampler(power, seed=rng)
 
     return make
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from seqpval import boundary
 from seqpval.boundary import (
     BoundaryError,
     BoundaryTable,
@@ -206,6 +207,49 @@ def test_save_load_round_trip(tmp_path):
     back.extend(800)
     table.extend(800)
     assert np.array_equal(back.upper_array(800), table.upper_array(800))
+
+
+def test_save_while_the_table_grows(tmp_path, monkeypatch):
+    # another thread's extend lands between save's first and last read of
+    # the table: here, at the CSV's first write
+    seq = SpendingSequence.default(1e-3, 1000)
+    table = BoundaryTable(0.05, seq).extend(2000)
+    path = tmp_path / "bnd.csv"
+    real_open = open
+
+    class GrowOnFirstWrite:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, text):
+            if table.n_max == 2000:
+                table.extend(2500)
+            return self.fh.write(text)
+
+        def close(self):
+            self.fh.close()
+
+    def growing_open(file, *args, **kwargs):
+        fh = real_open(file, *args, **kwargs)
+        return GrowOnFirstWrite(fh) if str(file) == str(path) else fh
+
+    monkeypatch.setattr(boundary, "open", growing_open, raising=False)
+    table.save(path)
+    monkeypatch.undo()
+    assert table.n_max == 2500
+    back = BoundaryTable.load(path)
+    assert back.n_max == 2000
+    fresh = BoundaryTable(0.05, seq)
+    for t in (back, fresh):
+        t.extend(3000)
+    for name in ("upper_array", "lower_array"):
+        assert np.array_equal(getattr(back, name)(3000), getattr(fresh, name)(3000)), name
+    for n in range(1, 3001):
+        assert back.hit_upper_cum(n) == fresh.hit_upper_cum(n), n
+        assert back.hit_lower_cum(n) == fresh.hit_lower_cum(n), n
+    assert back.alive_offset == fresh.alive_offset
+    assert np.array_equal(back.alive_mass, fresh.alive_mass)
+    back.check_conservation()
 
 
 def test_load_without_sidecar_cannot_extend(tmp_path):

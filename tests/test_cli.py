@@ -302,3 +302,30 @@ def test_output_file(tmp_path):
 def test_bad_subcommand_exits_2():
     code, _, _ = invoke(["frobnicate"])
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--simulate-p", "0.2", "--seed", "7", "--max-steps", "0"],
+    ["run", "--simulate-p", "0.2", "--seed", "7", "--max-steps", "-5"],
+    ["run", "--simulate-p", "0.2", "--seed", "7", "--report-every", "-5"],
+    ["run", "--simulate-p", "0.2", "--seed", "7", "--ci", "0"],
+    ["run", "--simulate-p", "0.2", "--seed", "7", "--ci", "1.5"],
+    ["demo", "double-bootstrap", "--seed", "5", "--inner-m", "0"],
+    ["demo", "level-bootstrap", "--seed", "3", "--inner-m", "0"],
+    ["demo", "bootstrap", "--seed", "11", "--max-steps", "0"],
+    ["boundaries", "--n", "0"],
+    ["risk", "--naive-n", "0", "--p", "0.1"],
+], ids=lambda argv: " ".join(argv))
+def test_invalid_settings_exit_2_before_any_work(argv, monkeypatch):
+    import seqpval.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the settings were checked")
+
+    monkeypatch.setattr(BoundaryTable, "extend", no_work)
+    for name in ("bootstrap_pvalue", "check_level", "double_bootstrap",
+                 "check_level_bootstrap"):
+        monkeypatch.setattr(cli, name, no_work)
+    code, out, err = invoke(argv)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err

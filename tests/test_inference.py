@@ -214,7 +214,7 @@ def test_expected_stop_time_early_exit_is_exact(default_table, horizon):
         full = _sweep(default_table, p, horizon)
         full_residual = float(full.alive.sum())
         et, residual = expected_stop_time(default_table, p, horizon)
-        assert et == 1.0 + full.sum_alive - full_residual, p
+        assert et == 1.0 + float(full.acc[0]) - full_residual, p
         assert residual >= full_residual, p
         if _sweep(default_table, p, horizon, alive_floor=_ETAU_FLOOR).n < horizon:
             assert residual <= 2.0**-54, p
@@ -278,7 +278,7 @@ def test_counts_refuse_underflowing_null_masses():
     with pytest.raises(FloatingPointError, match=f"at step {first} "):
         counts.extend(1000)
     # the failed call left the counts as they were
-    assert counts.horizon == first - 1 and counts._state.n == first - 1
+    assert counts.horizon == first - 1 and counts._lattice.n == first - 1
     with pytest.raises(FloatingPointError, match=f"at step {first} "):
         StoppingCounts(table, 1000)
 
@@ -394,7 +394,7 @@ def test_ci_at_its_cap_is_returned_uncertified(default_table):
     assert capped.certified is False
     assert capped.horizon == 4000
     # the interval extended a copy; the caller's counts are as they were
-    assert given.horizon == 2000 and given._state.n == 2000
+    assert given.horizon == 2000 and given._lattice.n == 2000
     for a, b in zip((given.tau, given.s, given.side, given.log_count), before):
         assert np.array_equal(a, b)
     exact = confidence_interval(default_table, res, beta=0.1,

@@ -21,8 +21,7 @@ from seqpval.applications import NullModel, _lrt_batch, sample_null_batch
 from seqpval.boundary import BoundaryTable, DegenerateBoundaryError
 from seqpval.spending import SpendingSequence
 
-TABLE_FIELDS = ("_upper", "_lower", "_hit_upper", "_hit_lower", "_eps", "_alive")
-STATE_FIELDS = ("n_max", "_alive_offset", "_hu", "_hl")
+TABLE_FIELDS = ("_upper", "_lower", "_hit_upper", "_hit_lower", "_eps")
 
 
 @pytest.fixture
@@ -42,14 +41,18 @@ def numpy_path(fn, *args, **kwargs):
         _native._lib = saved
 
 
+def assert_lattices_equal(a: _native.Lattice, b: _native.Lattice):
+    assert (a.n, a.offset) == (b.n, b.offset)
+    assert a.acc.shape == b.acc.shape and np.all(a.acc == b.acc)
+    assert a.alive.shape == b.alive.shape and np.all(a.alive == b.alive)
+
+
 def assert_tables_equal(a: BoundaryTable, b: BoundaryTable):
-    for name in STATE_FIELDS:
-        assert getattr(a, name) == getattr(b, name), name
+    assert a.n_max == b.n_max == a._lattice.n
+    assert_lattices_equal(a._lattice, b._lattice)
     n = a.n_max + 1
     for name in TABLE_FIELDS:
-        x, y = getattr(a, name), getattr(b, name)
-        if name != "_alive":
-            x, y = x[:n], y[:n]
+        x, y = getattr(a, name)[:n], getattr(b, name)[:n]
         assert x.shape == y.shape and np.all(x == y), name
 
 
@@ -101,27 +104,26 @@ def test_extend_degenerate_step_matches(kernel):
     # the failed call publishes nothing, but the rows it wrote agree too
     assert a.n_max == 10
     assert_tables_equal(a, b)
-    for name in TABLE_FIELDS[:5]:
+    for name in TABLE_FIELDS:
         assert np.all(getattr(a, name)[:40] == getattr(b, name)[:40]), name
 
 
 def sweep_both(table, p, horizon, *, state=None, alive_floor=0.0, record=True):
     out = []
     for path in (lambda f, *a, **k: f(*a, **k), numpy_path):
-        st = None if state is None else inference._SweepState(
-            state.n, state.alive.copy(), state.offset, state.sum_alive)
-        out.append(path(inference._sweep, table, p, horizon, state=st, alive_floor=alive_floor,
-                        record=record))
-    sa, sb = out
-    assert (sa.n, sa.offset, sa.sum_alive) == (sb.n, sb.offset, sb.sum_alive)
-    assert sa.alive.shape == sb.alive.shape and np.all(sa.alive == sb.alive)
+        lat = None if state is None else state.copy()
+        stops = [] if record else None
+        lat = path(inference._sweep, table, p, horizon, lat, alive_floor=alive_floor,
+                   record=stops)
+        out.append((lat, stops))
+    (sa, recs_a), (sb, recs_b) = out
+    assert_lattices_equal(sa, sb)
     assert inference._alive_total(sa) == inference._alive_total(sb)
     if not record:
-        assert sa.stops is sb.stops is None
         return sa, None
-    for x, y, dtype in zip(sa.stops, sb.stops, inference._STOP_DTYPES, strict=True):
+    for x, y, dtype in zip(recs_a, recs_b, inference._STOP_DTYPES, strict=True):
         assert x.dtype == y.dtype == dtype and np.array_equal(x, y)
-    return sa, sa.stops
+    return sa, recs_a
 
 
 @pytest.mark.parametrize("p", [0.0, 1e-3, 0.03, 0.05, 0.0508, 0.3, 1.0])
@@ -147,13 +149,13 @@ def test_sweep_resumes_from_state(kernel, default_table):
 
 
 def test_sweep_step_totals_match(kernel, default_table):
-    # one step at a time from a zero sum: sum_alive is then that step's alive
+    # one step at a time from a zero sum: acc is then that step's alive
     # total, which the kernel must add up in numpy's pairwise order (the
     # corridor passes 8 and 128 cells on the way)
     st = inference._initial_state(0.0508)
     for steps in (range(2, 601), range(12_000, 12_301)):
         for n in steps:
-            st.sum_alive = 0.0
+            st.acc[0] = 0.0
             st, _ = sweep_both(default_table, 0.0508, n, state=st)
     assert st.alive.size > 128
 

@@ -14,6 +14,7 @@ from seqpval.runner import (
     RunResult,
     SamplerError,
     TextBitSource,
+    _IterSource,
     get_table,
     _extreme,
     h_alpha,
@@ -31,6 +32,18 @@ def first_upper_step(table, n_max=500):
         if n >= table.upper(n):
             return n
     raise AssertionError("no upper stop found")
+
+
+class Capped:
+    """A take(m) source over an iterable of bits that returns at most `cap`
+    bits per take."""
+
+    def __init__(self, bits, cap: int):
+        self._source = _IterSource(bits)
+        self.cap = cap
+
+    def take(self, m: int) -> np.ndarray:
+        return self._source.take(min(m, self.cap))
 
 
 def first_lower_step(table, n_max=5000):
@@ -84,7 +97,7 @@ def test_sampler_failure_wraps_partial_state(default_table):
         return 0
 
     with pytest.raises(SamplerError) as exc:
-        run(default_table, iter(flaky, None), initial_chunk=16, max_chunk=16)
+        run(default_table, Capped(iter(flaky, None), 16))
     assert (exc.value.n, exc.value.s) == (40, 0)
 
 
@@ -106,7 +119,7 @@ def test_failure_after_the_stop_keeps_the_stop(default_table, source):
     # bit never reach the failure, and larger chunks must agree
     n_lo = first_lower_step(default_table)
     expected = RunResult(STOPPED, n_lo, 0, LOWER)
-    assert run(default_table, source(n_lo), initial_chunk=1, max_chunk=1) == expected
+    assert run(default_table, Capped(source(n_lo), 1)) == expected
     assert run(default_table, source(n_lo)) == expected
 
 
@@ -118,9 +131,10 @@ def test_seeded_determinism(default_table):
 
 def test_chunking_invariance(default_table):
     bits = BernoulliSampler(0.12, seed=3).take(2000)
-    r1 = run(default_table, iter(int(b) for b in bits), initial_chunk=1, max_chunk=1)
-    r2 = run(default_table, iter(int(b) for b in bits), initial_chunk=512, max_chunk=4096)
-    assert r1 == r2
+    r1 = run(default_table, Capped((int(b) for b in bits), 1))
+    r2 = run(default_table, Capped((int(b) for b in bits), 37))
+    r3 = run(default_table, iter(int(b) for b in bits))
+    assert r1 == r2 == r3
 
 
 def test_text_source(default_table):
@@ -276,6 +290,14 @@ def test_h_alpha_combinator(default_table):
     assert p > 0.05
     p2 = h_alpha(0.05, iter([0, 1, 0, 0]), max_steps=4, table=default_table)
     assert p2 == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("max_steps", [0, -5])
+def test_max_steps_below_one_is_rejected(default_table, max_steps):
+    with pytest.raises(ValueError, match="max_steps"):
+        run(default_table, BernoulliSampler(0.2, seed=1), max_steps=max_steps)
+    with pytest.raises(ValueError, match="max_steps"):
+        h_alpha(0.05, iter([0, 1]), max_steps=max_steps, table=default_table)
 
 
 def test_independent_tables_unaffected_by_runs():

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import io
 import json
-import math
 import os
 import threading
 from fractions import Fraction
@@ -45,16 +44,6 @@ class DegenerateBoundaryError(BoundaryError):
             f"no corridor (U_n <= L_n)"
         )
         self.n = n
-
-
-def _bernoulli_kl(q: float, a: float) -> float:
-    """KL(Bernoulli(q) || Bernoulli(a))."""
-    out = 0.0
-    if q > 0.0:
-        out += q * math.log(q / a)
-    if q < 1.0:
-        out += (1.0 - q) * math.log((1.0 - q) / (1.0 - a))
-    return out
 
 
 #: BoundaryTable's per-step arrays, indexed by n, and their dtypes
@@ -130,29 +119,6 @@ class BoundaryTable:
 
     def delta(self, n: int) -> float:
         return self.spending.delta(n)
-
-    def chernoff_covers(self, n: int, lo: float, hi: float) -> bool:
-        """Whether the Chernoff envelope at step n lies inside [lo, hi], a side
-        at the clip bound (lo <= 0, hi >= 1) always; one KL evaluation per side.
-
-        By the Chernoff bound, P_alpha(S_n >= j) <= exp(-n * KL(j/n || alpha))
-        for j/n > alpha.  Let c = -log(eps_n - eps_{n-1})/n.  KL(. || alpha)
-        increases on [alpha, 1], so for a rate q > alpha with KL(q) >= c every
-        j >= n*q has upper-tail mass at most eps_n - eps_{n-1}; at most
-        eps_{n-1} has hit the upper boundary before, so the recursion admits j
-        and U_n <= ceil(n*q) <= n*q + 1.  The upper side passes when KL(q) >= c
-        holds in floats at q = hi - 1/n > alpha, so U_n <= n*hi.  The lower side
-        is the mirror image at q = lo + 1/n < alpha, where L_n >= floor(n*q)
-        >= n*lo.  With no budget spent at n (a zero increment) only a clipped
-        side passes.
-        """
-        a = self.alpha
-        inc = self.spending.increment(n)
-        c = -math.log(inc) / n if inc > 0.0 else math.inf
-        q_hi = hi - 1.0 / n
-        q_lo = lo + 1.0 / n
-        return ((hi >= 1.0 or (q_hi > a and _bernoulli_kl(q_hi, a) >= c))
-                and (lo <= 0.0 or (q_lo < a and _bernoulli_kl(q_lo, a) >= c)))
 
     def _check_range(self, n: int):
         if not (1 <= n <= self.n_max):

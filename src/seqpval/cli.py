@@ -39,7 +39,7 @@ from .inference import (
     resampling_risk,
     wald_lower_bound,
 )
-from .runner import BernoulliSampler, TextBitSource, run
+from .runner import BernoulliSampler, TextBitSource, interim_interval, run
 from .spending import MAX_EPSILON, SpendingError, SpendingSequence
 
 EXIT_OK = 0
@@ -173,8 +173,6 @@ def cmd_run(args) -> int:
                   f"{ci.horizon}", file=sys.stderr)
         report["ci"] = {"beta": args.ci, "p_low": ci.p_low, "p_high": ci.p_high}
     if not res.stopped:
-        from .runner import interim_interval
-
         p_min, p_max = interim_interval(table, res.n)
         report["interim"] = {"p_min": p_min, "p_max": p_max}
     _emit(args, json.dumps(report, sort_keys=True) + "\n")
@@ -182,10 +180,17 @@ def cmd_run(args) -> int:
 
 
 def _parse_grid(spec: str) -> np.ndarray:
-    if ":" in spec:
-        lo, hi, num = spec.split(":")
-        return np.linspace(float(lo), float(hi), int(num))
-    return np.array([float(x) for x in spec.split(",")])
+    try:
+        if ":" in spec:
+            lo, hi, num = spec.split(":")
+            ps = np.linspace(float(lo), float(hi), int(num))
+        else:
+            ps = np.array([float(x) for x in spec.split(",")])
+        if ps.size:
+            return ps
+    except ValueError:
+        pass
+    raise ConfigError(f"--p must be lo:hi:num with num >= 1 or a comma list, got {spec!r}")
 
 
 def _curve_rows(args, table, ps, want_risk: bool):
@@ -256,6 +261,7 @@ def cmd_etau(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    _build_table(args)  # checks --alpha, --eps and --k before any work
     seed = _resolve_seed(args)
     data = example_table()
     cfg = EngineConfig(
@@ -281,14 +287,15 @@ def cmd_demo(args) -> int:
 # -- parser -----------------------------------------------------------------
 
 
-def _add_common(p):
+def _add_common(p, boundary_file: bool = True):
     p.add_argument("--alpha", type=float, default=0.05, help="significance threshold")
     p.add_argument("--eps", type=float, default=1e-3, help="total resampling-risk budget")
     p.add_argument("--k", type=int, default=1000, help="spending-sequence shape parameter")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (echoed in output)")
     p.add_argument("--output", default=None, help="write to this file instead of stdout")
-    p.add_argument("--boundary-file", default=None,
-                   help="load (or, for `boundaries`, save) a precomputed table")
+    if boundary_file:
+        p.add_argument("--boundary-file", default=None,
+                       help="load (or, for `boundaries`, save) a precomputed table")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
         c.set_defaults(func=fn)
 
     d = sub.add_parser("demo", help="bundled contingency-table workflows")
-    _add_common(d)
+    _add_common(d, boundary_file=False)
     d.add_argument("name", choices=("bootstrap", "level", "double-bootstrap", "level-bootstrap"))
     d.add_argument("--max-steps", type=int, default=None)
     d.add_argument("--inner-m", type=int, default=250)

@@ -127,105 +127,131 @@ def interim_interval(table: BoundaryTable, n: int) -> tuple[float, float]:
     L_nu > L_{nu-1} and lands at S_nu = L_{nu-1} + 1, and an upper stop at nu
     needs U_nu <= U_{nu-1} and lands at S_nu <= U_{nu-1}.  The interval runs
     from the least (L_{nu-1} + 1)/nu over rising L to the greatest
-    U_{nu-1}/nu over non-rising U, with nu scanned over (n, m].  Both edges
+    U_{nu-1}/nu over non-rising U, with nu scanned over (n, M].  Both edges
     are estimates that some run alive at n produces.
 
-    Beyond the scanned window the Chernoff envelope at the window end m
-    takes over (see ``BoundaryTable.chernoff_covers``, one KL evaluation per
-    side): once it lies inside the scanned extremes, it bounds every stop
-    estimate after m as long as the envelope narrows with m, as it does for
-    the default spending sequence.  So the edges are the extremes over all
-    nu > n, whichever m certifies them.  The first window has ceil(2/alpha)
-    steps and doubles while an edge is missing; once both exist, the least
-    horizon whose envelope they cover is found by doubling and bisecting m on
-    the envelope test alone, and the scan jumps straight to it.  Extremes
-    found on the way only widen the hull, so the envelope there still lies
-    inside it.  If no horizon is certified within 64 rounds, the trivially
-    sound (0, 1) is returned.
+    The first window has ceil(2/alpha) steps and doubles while an edge is
+    missing; ``_cap`` then proves an M past which no stop lands outside the
+    edges found, and the scan jumps there once (to 21,379 from step 10,000 of
+    the default table).  Where none is proven, (0, 1) is returned.
     """
     (lo_num, lo_den), (hi_num, hi_den) = interim_edges(table, n)
     return (lo_num / lo_den, hi_num / hi_den)
 
 
 def interim_edges(table: BoundaryTable, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The edges of `interim_interval` as exact estimates (num, den).
-
-    A scanned edge is the stop cell it comes from: (L_{nu-1} + 1, nu) for
-    the lower edge and (U_{nu-1}, nu) for the upper one.  An edge clipped to
-    the bound, and the fallback, are (0, 1) and (1, 1).
-    """
+    """The edges of `interim_interval` as exact estimates (num, den): the stop
+    cells (L_{nu-1} + 1, nu) and (U_{nu-1}, nu) they come from, or (0, 1) and
+    (1, 1) for an edge clipped to the bound and for the fallback."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    win = max(1, math.ceil(2.0 / table.alpha))
-    lo_edge = hi_edge = None
-    scanned = n  # last nu already included in the extremes (nu = n never stops)
-    m = n + win
-    for _ in range(64):
-        table.extend(m)
-        nu = np.arange(scanned + 1, m + 1, dtype=float)
-        up = table.upper_array(m)
-        lo = table.lower_array(m)
-        # U_{nu-1}, U_nu (and likewise L) for nu in (scanned, m]
-        up_prev, up_cur = up[scanned - 1 : m - 1], up[scanned:m]
-        lo_prev, lo_cur = lo[scanned - 1 : m - 1], lo[scanned:m]
-        hi_edge = _extreme(hi_edge, up_prev, nu, up_cur <= up_prev, sign=1)
-        lo_edge = _extreme(lo_edge, lo_prev + 1, nu, lo_cur > lo_prev, sign=-1)
-        w_hi = hi_edge[0] / hi_edge[1] if hi_edge else -math.inf
-        w_lo = lo_edge[0] / lo_edge[1] if lo_edge else math.inf
-        scanned = m
-        if table.chernoff_covers(m, w_lo, w_hi):
-            return (0, 1) if w_lo <= 0.0 else lo_edge, (1, 1) if w_hi >= 1.0 else hi_edge
-        if hi_edge is None or lo_edge is None:
-            win *= 2
-            m = scanned + win
-        else:
-            m = _least_covered(table, scanned, win, w_lo, w_hi)
-            if m is None:
-                break
-    # envelope never dominated (pathological spending); fall back to the
-    # trivially sound interval
-    return (0, 1), (1, 1)
+    win = math.ceil(2.0 / table.alpha)
+    edges, m = (None, None), n  # (lower, upper) over nu in (n, m]; nu = n never stops
+    while None in edges:
+        edges, m, win = _scan(table, m, m + win, edges), m + win, 2 * win
+    caps = [_cap(table, m, num / den, sign) if 0 < num < den else m
+            for (num, den), sign in zip(edges, (-1, 1))]
+    if None in caps:
+        return (0, 1), (1, 1)
+    (lo_num, _), (hi_num, hi_den) = edges = _scan(table, m, max(caps), edges)
+    return (0, 1) if lo_num <= 0 else edges[0], (1, 1) if hi_num >= hi_den else edges[1]
 
 
-def _least_covered(table: BoundaryTable, m: int, step: int, w_lo: float, w_hi: float):
-    """A horizon after m whose Chernoff envelope lies inside [w_lo, w_hi], or
-    None if none does within 64 doublings of `step`.
+def _scan(table: BoundaryTable, m: int, end: int, edges: tuple) -> tuple:
+    """`edges` (lower, upper), None or (num, den), widened by the stops at nu
+    in (m, end]; estimates whose float is the extreme are compared exactly."""
+    table.extend(end)
+    nu = np.arange(m + 1, end + 1, dtype=float)
+    out = []
+    for edge, sign, bound in zip(edges, (-1, 1), (table.lower_array(end), table.upper_array(end))):
+        prev, cur = bound[m - 1 : end - 1], bound[m:end]  # L_{nu-1}, L_nu (or U)
+        nums, reach = (prev + 1, cur > prev) if sign < 0 else (prev, cur <= prev)
+        q = np.where(reach, sign * nums / nu, -math.inf)
+        for i in np.flatnonzero(reach & (q == q.max(initial=-math.inf))).tolist():
+            num, den = int(nums[i]), int(nu[i])
+            if edge is None or sign * (num * edge[1] - edge[0] * den) > 0:
+                edge = (num, den)
+        out.append(edge)
+    return tuple(out)
 
-    The distance from m doubles until the envelope test passes and is then
-    bisected, so the result is the least such horizon when the test, once
-    passed, stays passed as m grows; the test passes there in any case.
+
+def _cap(table: BoundaryTable, m: int, q: float, sign: int) -> int | None:
+    """A horizon M > m after which no stop lands beyond an edge, or None.
+
+    For an edge Q in (0, 1), upper (sign 1) or lower (sign -1), q = float(Q),
+    and nu in [M, N), U_nu <= j = floor((nu + 1)Q), or L_nu >= j =
+    ceil((nu + 1)Q) - 1, so a stop at nu + 1 lands no further out than Q.  N
+    is a custom table's end, or where the rounding of the default eps_n is a
+    third of their increment (8.6e8 steps at k = 1000, 2.7e7 at k = 1).
+
+    For nu > m and sign*theta > 0, Markov's inequality on e^{theta S_nu},
+    whose steps after m are independent of the past, and
+    P(tau > m, S_m = s) <= Binom(m, alpha)(s) give under alpha
+        P(tau > nu - 1, S_nu >= j) <= P(tau > m, S_nu >= j)
+          <= e^{-theta j} g^{nu - m} sum_{L_m < s < U_m} Binom(m, alpha)(s) e^{theta s}
+    with g = 1 - alpha + alpha e^theta (S_nu <= j on the lower side), at
+    theta the KL tilt of q.  As -theta j <= max(theta, 0) - theta (nu + 1) Q,
+    its log is at most K - kappa nu, with kappa = theta Q - log g and
+    K = c + max(theta, 0) - theta Q - m log g, c the log of the sum.
+    In floats a cell at nu is at most (1 + u)^{3 nu} times its paths' mass
+    (three roundings a step, u = 2^-53), a tail sums at most nu + 1 cells,
+    and the hit sum is at most eps_{nu-1}, as steps keep fl(tail + hit) <=
+    eps_n, non-decreasing up to N.  Rounding is monotone, so j is admitted
+    (U_nu <= j, or L_nu >= j) once D = log I + (kappa - 4u) nu - K >= 0, for
+    an I <= eps_nu - eps_{nu-1}.
+
+    On a custom table I is the float increment less a rounding, and M is one
+    past the last nu in (m, N) where D fails.  In the default family
+    I = h - a with h = eps k/(x(x - 1)) at x = k + nu and a = 4.02 u eps, as
+    the computed eps_n = fl(fl(eps n)/(k + n)) err by under a/2.  While
+    h >= 3a, D' >= kappa - 4u - 3/(x - 1), so D rises once
+    x >= 1 + 3/(kappa - 4u); doubling and bisection find the least nu past
+    there with D >= 0.  c is summed from one lgamma anchor and the cumulated
+    log ratios of the w alive cells, whose magnitudes sum to at most
+    w^2 log((m + 1)/min(alpha, 1 - alpha)).  With lgamma, log, log1p, exp and
+    expm1 taken to err by at most 2^10 ulps, kappa and K are moved outward by
+    2^-40, and D by 2^-48 = 32u, times the sum of their terms' magnitudes.
     """
-    below = m
-    for _ in range(64):
-        above = m + step
-        if table.chernoff_covers(above, w_lo, w_hi):
-            break
-        below, step = above, 2 * step
-    else:
+    a, seq = table.alpha, table.spending
+    theta = math.log(q * (1.0 - a) / (a * (1.0 - q)))
+    s = np.arange(table.lower(m) + 1, table.upper(m), dtype=float)  # the alive cells at m
+    anchor = (math.lgamma(m + 1.0), -math.lgamma(s[0] + 1.0), -math.lgamma(m - s[0] + 1.0),
+              s[0] * math.log(a), (m - s[0]) * math.log1p(-a))
+    ratio = (m - s[:-1]) / (s[:-1] + 1.0) * (a / (1.0 - a))
+    x = sum(anchor) + np.concatenate(([0.0], np.cumsum(np.log(ratio)))) + theta * s
+    c = (top := x.max()) + math.log(np.exp(x - top).sum())
+    lg = math.log1p(a * math.expm1(theta))
+    k0 = c + max(theta, 0.0) - theta * q - m * lg + 2.0**-40 * (
+        sum(map(abs, anchor)) + s.size**2 * math.log((m + 1.0) / min(a, 1.0 - a))
+        + abs(theta) * (m + 1) + abs(c) + abs(theta * q) + m * abs(lg))
+    kappa = theta * q - lg - 2.0**-40 * (abs(theta * q) + abs(lg)) - 2.0**-51
+    if sign * theta <= 0.0 or kappa <= 0.0:
         return None
-    while above - below > 1:
-        mid = (below + above) // 2
-        if table.chernoff_covers(mid, w_lo, w_hi):
-            above = mid
-        else:
-            below = mid
-    return above
 
+    def low(li, nu):  # D(nu) less a bound on its float error
+        return li + kappa * nu - k0 - 2.0**-48 * (1.0 + abs(li) + abs(kappa) * nu + abs(k0))
 
-def _extreme(edge, nums: np.ndarray, nu: np.ndarray, reach: np.ndarray, sign: int):
-    """The greatest (sign 1) or least (sign -1) estimate (num, den) among
-    `edge` and the nums / nu where `reach` holds.
+    if seq.k is None:
+        nu = np.arange(m + 1, seq.table.size)
+        with np.errstate(divide="ignore"):
+            bad = np.flatnonzero(~(low(np.log(np.diff(seq.table)[m - 1 : -1]), nu) >= 0.0))
+        return min(seq.table.size, int(nu[bad[-1]]) + 1 if bad.size else m + 1)
+    err = 4.02 * 2.0**-53 * seq.epsilon
 
-    Floats order distinct estimates only up to rounding, so the ones whose
-    quotient equals the extreme float are compared exactly; the result's
-    float quotient is that extreme.
-    """
-    q = np.where(reach, sign * nums / nu, -math.inf)
-    for i in np.flatnonzero(reach & (q == q.max())).tolist():
-        num, den = int(nums[i]), int(nu[i])
-        if edge is None or sign * (num * edge[1] - edge[0] * den) > 0:
-            edge = (num, den)
-    return edge
+    def holds(nu: int) -> bool | None:  # D(nu) >= 0, or None past N
+        h = seq.epsilon * seq.k / ((seq.k + nu) * (seq.k + nu - 1))
+        return None if h < 3.0 * err else low(math.log(h - err), nu) >= 0.0
+
+    start = max(m, math.ceil(3.0 / kappa) - seq.k)  # D rises on (start, N]
+    below, nu = start, start + 1 + m // 2  # a first probe: M is near 2m on default tables
+    while not (ok := holds(nu)):
+        if ok is None:
+            return None
+        below, nu = nu, 2 * nu - start
+    while nu - below > 1:
+        mid = (below + nu) // 2
+        below, nu = (below, mid) if holds(mid) else (mid, nu)
+    return nu
 
 
 # -- the driver ------------------------------------------------------------

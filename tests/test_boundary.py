@@ -10,7 +10,6 @@ from seqpval.boundary import (
     BoundaryError,
     BoundaryTable,
     DegenerateBoundaryError,
-    _bernoulli_kl,
     compute_table,
     conservation_tolerance,
     exact_boundaries,
@@ -80,14 +79,23 @@ def test_hoeffding_caps(default_table):
         assert default_table.lower(n) >= n * alpha - d - 1
 
 
+def _bernoulli_kl(q: float, a: float) -> float:
+    """KL(Bernoulli(q) || Bernoulli(a))."""
+    out = 0.0
+    if q > 0.0:
+        out += q * math.log(q / a)
+    if q < 1.0:
+        out += (1.0 - q) * math.log((1.0 - q) / (1.0 - a))
+    return out
+
+
 def chernoff_rates(table, n):
     """Rates (q_lo, q_hi) where KL(. || alpha) first reaches
     c = -log(eps_n - eps_{n-1})/n, found by 64-step bisection and rounded
     outward so that KL >= c holds in floats at each; the trivial 0 or 1 where
     KL never reaches c, and (0, 1) when no budget is spent at n.
 
-    The reference for ``BoundaryTable.chernoff_covers``: the envelope at n is
-    [q_lo - 1/n, q_hi + 1/n].
+    The envelope at n is [q_lo - 1/n, q_hi + 1/n] (see ``test_chernoff_caps``).
     """
     inc = table.spending.increment(n)
     if inc <= 0.0:
@@ -121,28 +129,6 @@ def test_chernoff_caps(default_table):
         d = default_table.delta(n)
         assert q_hi <= alpha + d / n + 1e-12
         assert q_lo >= alpha - d / n - 1e-12
-
-
-@pytest.mark.parametrize("alpha, epsilon, k", [(0.05, 1e-3, 1000), (0.2, 0.05, 50)])
-def test_chernoff_covers_matches_rates(alpha, epsilon, k):
-    # one KL test per side agrees with the bisected envelope away from its
-    # rounding: just outside both edges passes, just inside either fails
-    # unless that side is clipped to [0, 1]
-    table = BoundaryTable(alpha, SpendingSequence.default(epsilon, k))
-    d = 1e-9
-    for n in (2, 3, 10, 77, 400, 5000, 123_456):
-        q_lo, q_hi = chernoff_rates(table, n)
-        lo, hi = q_lo - 1.0 / n, q_hi + 1.0 / n
-        assert table.chernoff_covers(n, lo - d, hi + d)
-        assert not table.chernoff_covers(n, lo + d, hi + d) or lo + d <= 0.0
-        assert not table.chernoff_covers(n, lo - d, hi - d) or hi - d >= 1.0
-
-
-def test_chernoff_covers_without_budget_only_at_clip_bounds():
-    table = BoundaryTable(0.05, SpendingSequence.custom(1e-3, [1e-4] * 10))
-    assert table.spending.increment(5) == 0.0
-    assert not table.chernoff_covers(5, 0.001, 0.999)
-    assert table.chernoff_covers(5, 0.0, 1.0)
 
 
 def test_boundaries_move_by_at_most_one(default_table):

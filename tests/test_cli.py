@@ -304,6 +304,12 @@ def test_bad_subcommand_exits_2():
     assert code == EXIT_CONFIG
 
 
+def test_demo_takes_no_boundary_file():
+    code, out, err = invoke(["demo", "bootstrap", "--seed", "11", "--boundary-file", "x.csv"])
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert "unrecognized arguments: --boundary-file" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--simulate-p", "0.2", "--seed", "7", "--max-steps", "0"],
     ["run", "--simulate-p", "0.2", "--seed", "7", "--max-steps", "-5"],
@@ -313,8 +319,15 @@ def test_bad_subcommand_exits_2():
     ["demo", "double-bootstrap", "--seed", "5", "--inner-m", "0"],
     ["demo", "level-bootstrap", "--seed", "3", "--inner-m", "0"],
     ["demo", "bootstrap", "--seed", "11", "--max-steps", "0"],
+    ["demo", "level", "--seed", "5", "--alpha", "1.5"],
+    ["demo", "double-bootstrap", "--seed", "5", "--eps", "0.3"],
+    ["demo", "bootstrap", "--seed", "11", "--k", "0"],
     ["boundaries", "--n", "0"],
     ["risk", "--naive-n", "0", "--p", "0.1"],
+    ["risk", "--p", "abc"],
+    ["risk", "--p", "0.1:0.2"],
+    ["risk", "--p", "0.1:0.2:0"],
+    ["etau", "--p", ","],
 ], ids=lambda argv: " ".join(argv))
 def test_invalid_settings_exit_2_before_any_work(argv, monkeypatch):
     import seqpval.cli as cli

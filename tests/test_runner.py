@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from test_boundary import chernoff_rates
 
 from seqpval.boundary import BoundaryTable, compute_table
@@ -16,7 +19,8 @@ from seqpval.runner import (
     TextBitSource,
     _IterSource,
     get_table,
-    _extreme,
+    _cap,
+    _scan,
     h_alpha,
     interim_edges,
     interim_interval,
@@ -233,20 +237,14 @@ def test_interim_early_steps_are_trivial(default_table):
 def doubling_scan_edges(table, n):
     """`interim_edges` by a window that doubles from ceil(2/alpha) steps until
     the envelope of the bisected Chernoff rates at its end lies inside the
-    scanned extremes: the reference for the one-test jump."""
+    scanned extremes: the reference for the corridor bound.  Sound where the
+    envelope narrows as the horizon grows, as on every table tested here."""
     win = max(1, math.ceil(2.0 / table.alpha))
     lo_edge = hi_edge = None
     scanned = n
     for _ in range(64):
         m = scanned + win
-        table.extend(m)
-        nu = np.arange(scanned + 1, m + 1, dtype=float)
-        up = table.upper_array(m)
-        lo = table.lower_array(m)
-        up_prev, up_cur = up[scanned - 1 : m - 1], up[scanned:m]
-        lo_prev, lo_cur = lo[scanned - 1 : m - 1], lo[scanned:m]
-        hi_edge = _extreme(hi_edge, up_prev, nu, up_cur <= up_prev, sign=1)
-        lo_edge = _extreme(lo_edge, lo_prev + 1, nu, lo_cur > lo_prev, sign=-1)
+        lo_edge, hi_edge = _scan(table, scanned, m, (lo_edge, hi_edge))
         w_hi = hi_edge[0] / hi_edge[1] if hi_edge else -math.inf
         w_lo = lo_edge[0] / lo_edge[1] if lo_edge else math.inf
         scanned = m
@@ -268,10 +266,58 @@ def test_interim_edges_equal_doubling_scan(alpha, epsilon, k):
 
 
 def test_interim_reach_at_10000():
-    # the least certified horizon, not the end of a doubled window (30,440)
+    # the least horizon the corridor bound certifies, not the end of a
+    # doubled window (30,440) nor the Chernoff envelope's (22,372)
     table = BoundaryTable(0.05, SpendingSequence.default(1e-3, 1000))
     assert interim_edges(table, 10_000) == ((410, 10_003), (596, 10_004))
-    assert table.n_max <= 25_000
+    assert table.n_max <= 21_379
+
+
+def assert_caps(table, m, edges, end):
+    """The `_cap` horizon M of each unclipped edge Q, checked on the table:
+    U_nu <= floor((nu + 1)Q), or L_nu >= ceil((nu + 1)Q) - 1, for nu in
+    [M, end(M)]."""
+    for sign, (num, den) in zip((-1, 1), edges):
+        if not 0 < num < den:
+            continue
+        cap = _cap(table, m, num / den, sign)
+        assert cap is not None and cap > m
+        last = end(cap)
+        table.extend(last)
+        nu = np.arange(cap, last + 1)
+        if sign == 1:
+            assert np.all(table.upper_array(last)[cap - 1 :] <= (nu + 1) * num // den)
+        else:
+            assert np.all(table.lower_array(last)[cap - 1 :] >= -(-(nu + 1) * num // den) - 1)
+
+
+@given(alpha=st.floats(0.01, 0.5), epsilon=st.floats(1e-5, 0.25), k=st.integers(1, 3000),
+       n=st.integers(1, 3000))
+def test_corridor_caps_hold_and_edges_equal_doubling_scan(alpha, epsilon, k, n):
+    table = BoundaryTable(alpha, SpendingSequence.default(epsilon, k))
+    edges = interim_edges(table, n)
+    assert edges == doubling_scan_edges(table, n)
+    assert_caps(table, n, edges, end=lambda cap: 3 * cap)
+
+
+def test_custom_table_certifies_no_side_across_zero_increments():
+    # default increments up to 6000 steps, but none spent on (2500, 3500]:
+    # no bound on the boundaries holds there, so no side may be certified
+    # before 3501, and the edges are the hull of every stop to the table's end
+    values = SpendingSequence.default(1e-3, 1000).values(6000)
+    values[2500:3500] = values[2499]
+    table = BoundaryTable(0.05, SpendingSequence.custom(1e-3, values))
+    n = 1000
+    edges = interim_edges(table, n)
+    for sign, (num, den) in zip((-1, 1), edges):
+        assert _cap(table, n, num / den, sign) > 3500
+    table.extend(6000)
+    up, lo = table.upper_array(6000), table.lower_array(6000)
+    later = range(n + 1, 6001)
+    his = [Fraction(int(up[nu - 2]), nu) for nu in later if up[nu - 1] <= up[nu - 2]]
+    los = [Fraction(int(lo[nu - 2]) + 1, nu) for nu in later if lo[nu - 1] > lo[nu - 2]]
+    assert (Fraction(*edges[0]), Fraction(*edges[1])) == (min(los), max(his))
+    assert_caps(table, n, edges, end=lambda cap: 5999)
 
 
 # -- table cache and combinator ---------------------------------------------

@@ -85,11 +85,11 @@ static int make_room(double *buf, int64_t cap, int64_t *start, int64_t w)
 }
 
 /* Boundary steps st[0] + 1 .. n_to under the null rate alpha.
- * h = {hu, hl} are the cumulative hit masses; eps[n - 1] is the budget of
+ * h = {hu, hl} are the cumulative hit masses; eps[n - first] is the budget of
  * step n; upper, lower, hit_u and hit_l are indexed by n. */
 int seqpval_boundary(double *buf, int64_t cap, int64_t *st, double *h, double alpha,
-                     const double *eps, int64_t n_to, int64_t *upper, int64_t *lower,
-                     double *hit_u, double *hit_l)
+                     const double *eps, int64_t first, int64_t n_to, int64_t *upper,
+                     int64_t *lower, double *hit_u, double *hit_l)
 {
     int64_t n = st[0], start = st[1], w = st[2], off = st[3];
     double hu = h[0], hl = h[1];
@@ -102,7 +102,7 @@ int seqpval_boundary(double *buf, int64_t cap, int64_t *st, double *h, double al
         }
         const double *b = buf + start;
         lattice_step(buf + start, w, q, alpha);
-        const double eps_n = eps[n];
+        const double eps_n = eps[n + 1 - first];
         const int64_t top = off + w;
         /* minimal j whose upper tail keeps the budget: descend from top + 1 */
         int64_t j = top + 1;

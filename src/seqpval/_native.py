@@ -43,7 +43,7 @@ _P = ctypes.c_void_p
 _I = ctypes.c_int64
 _D = ctypes.c_double
 _SIGNATURES = {
-    "seqpval_boundary": (_P, _I, _P, _P, _D, _P, _I, _P, _P, _P, _P),
+    "seqpval_boundary": (_P, _I, _P, _P, _D, _P, _I, _I, _P, _P, _P, _P),
     "seqpval_sweep": (_P, _I, _P, _P, _D, _I, _P, _P, _D, _P, _P, _P, _P, _I, _P),
     "seqpval_null_draw": (_P, _P, _I, _I, _P, _I, _I, _P, _I, _P),
     "seqpval_lrt": (_P, _I, _I, _I, _P, _I, _P, _P),

@@ -8,8 +8,8 @@ keeps only the "alive" distribution of the partial sum restricted to paths
 that have not stopped, so memory is proportional to the corridor width.
 
 No per-step renormalization is performed: the budget comparison is against
-the raw accumulated hitting mass, and conservation of total mass is asserted
-instead (drift budget 1e-10 per 1e4 steps).
+the raw accumulated hitting mass, and the tests check conservation of total
+mass instead (drift budget 1e-10 per 1e4 steps).
 """
 
 from __future__ import annotations
@@ -26,6 +26,9 @@ from . import _native
 from .spending import SpendingSequence
 
 FORMAT_VERSION = 1
+_HEADER = "# seqpval-boundaries "
+#: the columns of a boundary file
+_COLUMNS = ("n", "lower", "upper", "eps_n", "hit_lower_cum", "hit_upper_cum")
 
 #: Allowed drift of total mass from 1, per 1e4 recursion steps.
 DRIFT_PER_10K = 1e-10
@@ -48,7 +51,7 @@ class DegenerateBoundaryError(BoundaryError):
 
 #: BoundaryTable's per-step arrays, indexed by n, and their dtypes
 _STEP_ARRAYS = (("_upper", np.int64), ("_lower", np.int64), ("_hit_upper", np.float64),
-                ("_hit_lower", np.float64), ("_eps", np.float64))
+                ("_hit_lower", np.float64))
 
 
 def conservation_tolerance(n: int) -> float:
@@ -72,11 +75,9 @@ class BoundaryTable:
         # seed state after step 1: U_1 = 2, L_1 = -1, S_1 ~ Bernoulli(alpha)
         self._upper[1] = 2
         self._lower[1] = -1
-        self._eps[1] = spending.values(1)[0]
         self.n_max = 1
         # the alive cells after n_max, with the hit sums (hu, hl) as acc
         self._lattice = _native.Lattice([1.0 - alpha, alpha], 1, 0, (0.0, 0.0))
-        self._resumable = True
         self._lock = threading.Lock()
 
     # -- accessors ---------------------------------------------------------
@@ -151,11 +152,6 @@ class BoundaryTable:
         self._addresses = tuple(_native.ptr(getattr(self, name), dtype)
                                 for name, dtype in _STEP_ARRAYS)
 
-    def _grow(self, n_target: int):
-        cap = self._upper.size
-        if n_target + 1 > cap:
-            self._allocate(max(cap * 2, n_target + 1))
-
     def extend(self, n_target: int) -> "BoundaryTable":
         """Extend the boundary arrays through step n_target (no-op if shorter).
 
@@ -167,24 +163,21 @@ class BoundaryTable:
         with self._lock:
             if n_target <= self.n_max:
                 return self
-            if not self._resumable:
-                raise BoundaryError(
-                    "table was loaded without alive-state sidecar and cannot be extended"
-                )
-            self._grow(n_target)
-            self._eps[self.n_max + 1 : n_target + 1] = self.spending.values(
-                n_target, start=self.n_max + 1)
+            cap = self._upper.size
+            if n_target + 1 > cap:
+                self._allocate(max(cap * 2, n_target + 1))
+            eps = self.spending.values(n_target, start=self.n_max + 1)
             kern = _native.kernel()
             if kern is None:
-                self._extend_numpy(n_target)
+                self._extend_numpy(n_target, eps)
             else:
-                self._extend_kernel(kern, n_target)
+                self._extend_kernel(kern, n_target, eps)
             self.n_max = n_target
         return self
 
-    def _extend_numpy(self, n_target: int):
-        """The reference recursion, one numpy step per boundary step."""
-        eps = self._eps[1:]  # eps[n - 1] is the budget of step n
+    def _extend_numpy(self, n_target: int, eps: np.ndarray):
+        """The reference recursion, one numpy step per boundary step; `eps`
+        holds the budgets of steps n_max + 1 .. n_target."""
         alpha = self.alpha
         lat = self._lattice
         alive = lat.alive
@@ -192,8 +185,7 @@ class BoundaryTable:
         hu, hl = lat.acc.tolist()
         upper, lower = self._upper, self._lower
         hit_u, hit_l = self._hit_upper, self._hit_lower
-        for n in range(self.n_max + 1, n_target + 1):
-            eps_n = eps[n - 1]
+        for n, eps_n in zip(range(self.n_max + 1, n_target + 1), eps):
             w = alive.size
             new = np.empty(w + 1)
             np.multiply(alive, 1.0 - alpha, out=new[:w])
@@ -226,7 +218,7 @@ class BoundaryTable:
             hit_l[n] = hl
         lat.set(alive, n_target, off, hu, hl)
 
-    def _extend_kernel(self, kern, n_target: int):
+    def _extend_kernel(self, kern, n_target: int, eps: np.ndarray):
         """The same recursion in the compiled kernel (``_kernel.c``).
 
         The kernel writes the per-step arrays through the addresses
@@ -235,12 +227,10 @@ class BoundaryTable:
         cells in place.  A call that fails publishes nothing: the cells and
         hit sums are put back as they were.
         """
-        upper, lower, hit_u, hit_l, eps = self._addresses
-        eps += np.dtype(np.float64).itemsize  # eps_1 is at index 1
         lat = self._lattice
         before = (lat.alive.copy(), lat.n, lat.offset, *lat.acc)
-        rc = lat.call(kern.seqpval_boundary, self.alpha, eps, int(n_target),
-                      upper, lower, hit_u, hit_l)
+        rc = lat.call(kern.seqpval_boundary, self.alpha, _native.ptr(eps, np.float64),
+                      self.n_max + 1, int(n_target), *self._addresses)
         if rc == _native.DEGENERATE:
             step = lat.n + 1
             lat.set(*before)
@@ -248,131 +238,82 @@ class BoundaryTable:
 
     # -- persistence -------------------------------------------------------
 
-    def _meta(self, n_max: int) -> dict:
-        kind, eps, kref = self.spending.key()
-        return {
+    def save(self, destination) -> None:
+        """Write the per-step CSV to `destination`, a path or a text file object."""
+        n_max = self.n_max  # rows 1..n_max never change once published
+        kind, epsilon, kref = self.spending.key()
+        meta = {
             "format": FORMAT_VERSION,
             "alpha": self.alpha,
-            "epsilon": eps,
+            "epsilon": epsilon,
             "spending_kind": kind,
             "spending_ref": kref,
             "n_max": n_max,
         }
-
-    def save(self, destination) -> None:
-        """Write the per-step CSV plus an alive-state sidecar for resumption.
-
-        `destination` may be a path or a text file object; the sidecar is only
-        written for paths (a bare stream gets the CSV alone and the loaded
-        table will not be extendable).
-        """
-        # rows 1..n_max never change once published, but the cells and hit
-        # sums do: take them with n_max, of one step
-        with self._lock:
-            n_max = self.n_max
-            lat = self._lattice.copy()
-        meta = self._meta(n_max)
-        close = False
-        sidecar = None
-        if isinstance(destination, (str, os.PathLike)):
-            sidecar = str(destination) + ".state.json"
-            fh = open(destination, "w")
-            close = True
-        else:
-            fh = destination
+        eps = self.spending.values(n_max)
+        close = isinstance(destination, (str, os.PathLike))
+        fh = open(destination, "w") if close else destination
         try:
-            fh.write("# seqpval-boundaries " + json.dumps(meta) + "\n")
-            fh.write("n,lower,upper,eps_n,hit_lower_cum,hit_upper_cum\n")
+            fh.write(_HEADER + json.dumps(meta) + "\n")
+            fh.write(",".join(_COLUMNS) + "\n")
             for n in range(1, n_max + 1):
                 fh.write(
-                    f"{n},{self._lower[n]},{self._upper[n]},{float(self._eps[n])!r},"
+                    f"{n},{self._lower[n]},{self._upper[n]},{float(eps[n - 1])!r},"
                     f"{float(self._hit_lower[n])!r},{float(self._hit_upper[n])!r}\n"
                 )
         finally:
             if close:
                 fh.close()
-        if sidecar is not None:
-            state = {
-                "meta": meta,
-                "alive_offset": lat.offset,
-                "alive_mass": [float(x) for x in lat.alive],
-                "hit_upper_cum": float(lat.acc[0]),
-                "hit_lower_cum": float(lat.acc[1]),
-            }
-            with open(sidecar, "w") as sf:
-                json.dump(state, sf)
 
     @classmethod
     def load(cls, source, spending: SpendingSequence | None = None) -> "BoundaryTable":
-        """Rebuild a table from `save` output.
+        """Rebuild the table that `save` wrote, by the recursion, and check it.
 
-        For custom spending the eps_n column is the table itself; for the
-        default kind the k parameter is recovered from the header.  A spending
-        sequence passed explicitly is checked against the header.
+        A spending sequence passed explicitly must match the header and is
+        taken; otherwise custom spending is the file's eps_n column, to its
+        n_max.  A malformed file, or one any of whose columns differs from the
+        rebuilt table, raises BoundaryError.
         """
-        close = False
-        sidecar = None
-        if isinstance(source, (str, os.PathLike)):
-            sidecar = str(source) + ".state.json"
-            fh = open(source)
-            close = True
-        else:
-            fh = source
+        import warnings
+
+        close = isinstance(source, (str, os.PathLike))
+        fh = open(source) if close else source
         try:
             header = fh.readline()
-            if not header.startswith("# seqpval-boundaries "):
+            if not header.startswith(_HEADER):
                 raise BoundaryError("not a seqpval boundary file (missing header record)")
-            meta = json.loads(header[len("# seqpval-boundaries ") :])
+            meta = json.loads(header[len(_HEADER) :])
             if meta.get("format") != FORMAT_VERSION:
                 raise BoundaryError(f"unsupported boundary file format {meta.get('format')}")
+            n_max = int(meta["n_max"])
             fh.readline()  # column names
-            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # an empty body fails the shape check
+                rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+            if rows.shape != (n_max, len(_COLUMNS)):
+                raise BoundaryError("boundary file truncated or malformed")
+            key = (meta["spending_kind"], meta["epsilon"], meta["spending_ref"])
+            if spending is not None:
+                if spending.key() != key:
+                    raise BoundaryError(
+                        f"spending mismatch: file has {key}, caller expected {spending.key()}")
+                seq = spending
+            elif key[0] == "default":
+                seq = SpendingSequence.default(key[1], int(key[2]))
+            else:
+                seq = SpendingSequence.custom(key[1], rows[:, 3])
+            table = cls(meta["alpha"], seq).extend(n_max)
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise BoundaryError(f"malformed boundary file: {type(exc).__name__}: {exc}") from exc
         finally:
             if close:
                 fh.close()
-        n_max = int(meta["n_max"])
-        if rows.shape[0] != n_max or rows.shape[1] != 6:
-            raise BoundaryError("boundary file truncated or malformed")
-        if meta["spending_kind"] == "default":
-            seq = SpendingSequence.default(meta["epsilon"], int(meta["spending_ref"]))
-        else:
-            seq = SpendingSequence.custom(meta["epsilon"], rows[:, 3])
-        if spending is not None and spending.key() != seq.key():
-            raise BoundaryError(
-                f"spending mismatch: file has {seq.key()}, caller expected {spending.key()}"
-            )
-        table = cls(meta["alpha"], seq)
-        table._grow(n_max)
-        ns = rows[:, 0].astype(np.int64)
-        if not np.array_equal(ns, np.arange(1, n_max + 1)):
-            raise BoundaryError("boundary file rows are not contiguous in n")
-        table._lower[1 : n_max + 1] = rows[:, 1].astype(np.int64)
-        table._upper[1 : n_max + 1] = rows[:, 2].astype(np.int64)
-        table._hit_lower[1 : n_max + 1] = rows[:, 4]
-        table._hit_upper[1 : n_max + 1] = rows[:, 5]
-        table._eps[1 : n_max + 1] = seq.values(n_max)
-        if table._upper[1] != 2 or table._lower[1] != -1:
-            raise BoundaryError("boundary file does not start from the seed (U_1, L_1) = (2, -1)")
-        table.n_max = n_max
-        state = None
-        if sidecar is not None and os.path.exists(sidecar):
-            with open(sidecar) as sf:
-                state = json.load(sf)
-        if state is not None:
-            if state["meta"] != meta:
-                raise BoundaryError(
-                    "parameter mismatch between boundary file and alive-state sidecar"
-                )
-            table._lattice.set(np.asarray(state["alive_mass"], dtype=float), n_max,
-                               int(state["alive_offset"]), float(state["hit_upper_cum"]),
-                               float(state["hit_lower_cum"]))
-            table.check_conservation()
-        else:
-            # at n_max = 1 the lattice is the seed state; otherwise it is lost
-            table._resumable = n_max == 1
-            if not table._resumable:
-                table._lattice.set([], n_max, 0, float(table._hit_upper[n_max]),
-                                   float(table._hit_lower[n_max]))
+        steps = slice(1, n_max + 1)
+        rebuilt = (np.arange(1, n_max + 1), table._lower[steps], table._upper[steps],
+                   seq.values(n_max), table._hit_lower[steps], table._hit_upper[steps])
+        for name, column, own in zip(_COLUMNS, rows.T, rebuilt):
+            if not np.array_equal(column, own):
+                raise BoundaryError(f"boundary file's {name} column is not the recursion's")
         return table
 
     def to_csv_string(self) -> str:

@@ -30,7 +30,7 @@ from .applications import (
     double_bootstrap,
     example_table,
 )
-from .boundary import BoundaryTable
+from .boundary import BoundaryError, BoundaryTable
 from .inference import (
     RISK_RESIDUAL,
     confidence_interval,
@@ -58,9 +58,13 @@ _LEAST = {"n": 1, "max_steps": 1, "report_every": 0, "inner_m": 1, "naive_n": 1}
 
 def _build_table(args, load_file: bool = True) -> BoundaryTable:
     # --boundary-file is a load source everywhere except under `boundaries`,
-    # where it names the save destination
+    # where it names the save destination.  Loading runs the recursion, so
+    # callers check their other settings first
     if load_file and getattr(args, "boundary_file", None):
-        return BoundaryTable.load(args.boundary_file)
+        try:
+            return BoundaryTable.load(args.boundary_file)
+        except (BoundaryError, OSError) as exc:
+            raise ConfigError(f"cannot load --boundary-file: {exc}") from None
     if not (0.0 < args.alpha < 1.0):
         raise ConfigError(f"alpha must be in (0, 1), got {args.alpha}")
     if not (0.0 < args.eps <= MAX_EPSILON):
@@ -119,12 +123,12 @@ def _reap_child(proc, at_eof: bool) -> int:
 def cmd_run(args) -> int:
     if args.ci is not None and not (0.0 < args.ci < 1.0):
         raise ConfigError(f"--ci must be in (0, 1), got {args.ci}")
+    if args.simulate_p is not None and not (0.0 <= args.simulate_p <= 1.0):
+        raise ConfigError(f"--simulate-p must be in [0, 1], got {args.simulate_p}")
     table = _build_table(args)
     seed = None
     proc = None
     if args.simulate_p is not None:
-        if not (0.0 <= args.simulate_p <= 1.0):
-            raise ConfigError(f"--simulate-p must be in [0, 1], got {args.simulate_p}")
         seed = _resolve_seed(args)
         source = BernoulliSampler(args.simulate_p, seed=seed)
     elif args.cmd:
@@ -247,15 +251,15 @@ def cmd_risk(args) -> int:
             )
         _emit(args, "\n".join(lines) + "\n")
         return EXIT_OK
-    table = _build_table(args)
     ps = _parse_grid(args.p_grid if args.p_grid else "0.01:0.99:25")
+    table = _build_table(args)
     _emit_curve(args, _curve_rows(args, table, ps, want_risk=True))
     return EXIT_OK
 
 
 def cmd_etau(args) -> int:
-    table = _build_table(args)
     ps = _parse_grid(args.p_grid if args.p_grid else "0.01:0.99:25")
+    table = _build_table(args)
     _emit_curve(args, _curve_rows(args, table, ps, want_risk=False))
     return EXIT_OK
 

@@ -133,7 +133,9 @@ def interim_interval(table: BoundaryTable, n: int) -> tuple[float, float]:
     The first window has ceil(2/alpha) steps and doubles while an edge is
     missing; ``_cap`` then proves an M past which no stop lands outside the
     edges found, and the scan jumps there once (to 21,379 from step 10,000 of
-    the default table).  Where none is proven, (0, 1) is returned.
+    the default table).  Where none is proven, (0, 1) is returned.  On a
+    custom table the scan stops at its end, past which no run steps, and an
+    edge with no stop there is clipped to the bound.
     """
     (lo_num, lo_den), (hi_num, hi_den) = interim_edges(table, n)
     return (lo_num / lo_den, hi_num / hi_den)
@@ -146,15 +148,20 @@ def interim_edges(table: BoundaryTable, n: int) -> tuple[tuple[int, int], tuple[
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     win = math.ceil(2.0 / table.alpha)
+    end = math.inf if table.spending.k is not None else table.spending.table.size
     edges, m = (None, None), n  # (lower, upper) over nu in (n, m]; nu = n never stops
-    while None in edges:
-        edges, m, win = _scan(table, m, m + win, edges), m + win, 2 * win
-    caps = [_cap(table, m, num / den, sign) if 0 < num < den else m
-            for (num, den), sign in zip(edges, (-1, 1))]
-    if None in caps:
-        return (0, 1), (1, 1)
-    (lo_num, _), (hi_num, hi_den) = edges = _scan(table, m, max(caps), edges)
-    return (0, 1) if lo_num <= 0 else edges[0], (1, 1) if hi_num >= hi_den else edges[1]
+    while None in edges and m < end:
+        stop = min(m + win, end)
+        edges, m, win = _scan(table, m, stop, edges), stop, 2 * win
+    if None not in edges:
+        caps = [_cap(table, m, num / den, sign) if 0 < num < den else m
+                for (num, den), sign in zip(edges, (-1, 1))]
+        if None in caps:
+            return (0, 1), (1, 1)
+        edges = _scan(table, m, max(caps), edges)
+    lo, hi = edges  # an edge with no stop, or at the bound, is clipped to it
+    return ((0, 1) if lo is None or lo[0] <= 0 else lo,
+            (1, 1) if hi is None or hi[0] >= hi[1] else hi)
 
 
 def _scan(table: BoundaryTable, m: int, end: int, edges: tuple) -> tuple:

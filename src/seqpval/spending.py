@@ -97,8 +97,9 @@ class SpendingSequence:
     def delta(self, n: int) -> float:
         """Hoeffding half-width sqrt(-n * log(eps_n - eps_{n-1}) / 2).
 
-        Returns +inf when the increment is zero (no budget is spent at n, so
-        no finite interim cap is available there).
+        Step n may spend at least the increment, so by Hoeffding's inequality
+        U_n <= ceil(n alpha + delta_n) and L_n >= n alpha - delta_n - 1 (the
+        acceptance tests' criterion 2); +inf when no budget is spent at n.
         """
         if n < 2:
             raise SpendingError(f"delta is defined for n >= 2, got {n}")
@@ -135,7 +136,7 @@ def validate_spending(seq: SpendingSequence, horizon: int) -> SpendingReport:
     Flags every n <= horizon whose increment is non-positive, and every
     n > 100 whose increment decays faster than exp(-n/2)
     (small n are skipped: any schedule has -log(inc)/n large there, and only
-    the asymptotic rate matters for the interim half-width delta_n/n -> 0).
+    the asymptotic rate matters: delta_n/n -> 0 draws U_n/n and L_n/n to alpha).
     Flagged sequences are still usable (the boundary definition never divides
     by the increment), so this returns a report rather than raising.
     """

@@ -14,7 +14,7 @@ from seqpval.boundary import (
     conservation_tolerance,
     exact_boundaries,
 )
-from seqpval.spending import SpendingSequence
+from seqpval.spending import SpendingError, SpendingSequence
 
 
 def test_seed_row(default_table):
@@ -189,7 +189,7 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(back.upper_array(500), table.upper_array(500))
     assert np.array_equal(back.lower_array(500), table.lower_array(500))
     assert back.hit_upper_cum(500) == table.hit_upper_cum(500)
-    # with the sidecar present the table can keep growing, identically
+    # the loaded table keeps growing, identically
     back.extend(800)
     table.extend(800)
     assert np.array_equal(back.upper_array(800), table.upper_array(800))
@@ -238,29 +238,52 @@ def test_save_while_the_table_grows(tmp_path, monkeypatch):
     back.check_conservation()
 
 
-def test_load_without_sidecar_cannot_extend(tmp_path):
-    table = compute_table(0.05, 1e-3, n=50)
-    buf = io.StringIO(table.to_csv_string())
-    back = BoundaryTable.load(buf)
-    assert back.upper(50) == table.upper(50)
-    with pytest.raises(BoundaryError):
-        back.extend(60)
+def test_load_from_a_stream_extends_like_a_fresh_table():
+    seq = SpendingSequence.default(1e-3, 1000)
+    table = BoundaryTable(0.05, seq).extend(1500)
+    back = BoundaryTable.load(io.StringIO(table.to_csv_string()))
+    fresh = BoundaryTable(0.05, seq)
+    for t in (back, fresh):
+        t.extend(2500)
+    assert back.to_csv_string() == fresh.to_csv_string()
+    assert back.alive_offset == fresh.alive_offset
+    assert np.array_equal(back.alive_mass, fresh.alive_mass)
 
 
-def test_load_rejects_tampered_state(tmp_path):
-    table = compute_table(0.05, 1e-3, n=200)
+@pytest.mark.parametrize("column", [0, 1, 2, 3, 4, 5])
+def test_load_refuses_a_changed_cell(tmp_path, column):
+    table = compute_table(0.05, 1e-3, n=600)
+    lines = table.to_csv_string().splitlines()
+    cells = lines[502].split(",")  # the row of step 501
+    assert cells[0] == "501"
+    if column <= 2:  # n, L or U, by one
+        cells[column] = str(int(cells[column]) + 1)
+    else:  # eps_n or a hit sum, by one ulp
+        cells[column] = repr(float(np.nextafter(float(cells[column]), 1.0)))
+    lines[502] = ",".join(cells)
+    path = tmp_path / "bnd.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(BoundaryError, match="column is not the recursion's"):
+        BoundaryTable.load(path)
+
+
+def test_custom_table_round_trips_and_extends_to_its_end(tmp_path):
+    n = np.arange(1, 3_001)
+    seq = SpendingSequence.custom(1e-2, 1e-2 * (1.0 - np.exp(-n / 300.0)) * 0.999)
+    table = BoundaryTable(0.1, seq).extend(1_200)
     path = tmp_path / "bnd.csv"
     table.save(path)
-    sidecar = str(path) + ".state.json"
-    import json
-
-    with open(sidecar) as fh:
-        state = json.load(fh)
-    state["hit_upper_cum"] = 0.5
-    with open(sidecar, "w") as fh:
-        json.dump(state, fh)
-    with pytest.raises(BoundaryError):
-        BoundaryTable.load(path)
+    # without the sequence, the file's eps_n column is the spending, to 1,200
+    alone = BoundaryTable.load(path)
+    assert alone.to_csv_string().splitlines()[1:] == table.to_csv_string().splitlines()[1:]
+    with pytest.raises(SpendingError):
+        alone.extend(1_201)
+    back = BoundaryTable.load(path, spending=seq)
+    for t in (back, table):
+        t.extend(3_000)
+    assert back.to_csv_string() == table.to_csv_string()
+    assert back.alive_offset == table.alive_offset
+    assert np.array_equal(back.alive_mass, table.alive_mass)
 
 
 def test_load_rejects_spending_mismatch(tmp_path):

@@ -310,6 +310,16 @@ def test_demo_takes_no_boundary_file():
     assert "unrecognized arguments: --boundary-file" in err
 
 
+#: --boundary-file arguments that name files the test writes (None: no file)
+BOUNDARY_FILES = {
+    "missing.csv": None,
+    "garbage.csv": "p,q\n1,2\n",
+    "no-n-max.csv": '# seqpval-boundaries {"format": 1, "alpha": 0.05}\n'
+                    "n,lower,upper,eps_n,hit_lower_cum,hit_upper_cum\n",
+    "valid.csv": compute_table(0.05, 1e-3, n=3).to_csv_string(),
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--simulate-p", "0.2", "--seed", "7", "--max-steps", "0"],
     ["run", "--simulate-p", "0.2", "--seed", "7", "--max-steps", "-5"],
@@ -328,9 +338,21 @@ def test_demo_takes_no_boundary_file():
     ["risk", "--p", "0.1:0.2"],
     ["risk", "--p", "0.1:0.2:0"],
     ["etau", "--p", ","],
+    ["run", "--simulate-p", "0.2", "--seed", "7", "--boundary-file", "missing.csv"],
+    ["run", "--simulate-p", "0.2", "--seed", "7", "--boundary-file", "garbage.csv"],
+    ["risk", "--p", "0.3", "--boundary-file", "no-n-max.csv"],
+    ["etau", "--p", "0.3", "--boundary-file", "garbage.csv"],
+    ["run", "--simulate-p", "1.5", "--seed", "7", "--boundary-file", "valid.csv"],
+    ["risk", "--p", "abc", "--boundary-file", "valid.csv"],
+    ["etau", "--p", ",", "--boundary-file", "valid.csv"],
 ], ids=lambda argv: " ".join(argv))
-def test_invalid_settings_exit_2_before_any_work(argv, monkeypatch):
+def test_invalid_settings_exit_2_before_any_work(argv, monkeypatch, tmp_path):
     import seqpval.cli as cli
+
+    for name, text in BOUNDARY_FILES.items():
+        if text is not None:
+            (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in BOUNDARY_FILES else a for a in argv]
 
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the settings were checked")
@@ -342,3 +364,19 @@ def test_invalid_settings_exit_2_before_any_work(argv, monkeypatch):
     code, out, err = invoke(argv)
     assert (code, out) == (EXIT_CONFIG, "")
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_tampered_boundary_file_exits_2(tmp_path):
+    path = tmp_path / "table.csv"
+    assert invoke(["boundaries", "--n", "600", "--boundary-file", str(path)])[0] == EXIT_OK
+    lines = path.read_text().splitlines()
+    cells = lines[502].split(",")  # the row of step 501
+    assert cells[0] == "501"
+    cells[2] = str(int(cells[2]) + 1)  # U_501
+    lines[502] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = invoke(["run", "--simulate-p", "0.2", "--seed", "7",
+                             "--boundary-file", str(path)])
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "upper column" in err

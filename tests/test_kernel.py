@@ -21,7 +21,7 @@ from seqpval.applications import NullModel, _lrt_batch, sample_null_batch
 from seqpval.boundary import BoundaryTable, DegenerateBoundaryError
 from seqpval.spending import SpendingSequence
 
-TABLE_FIELDS = ("_upper", "_lower", "_hit_upper", "_hit_lower", "_eps")
+TABLE_FIELDS = ("_upper", "_lower", "_hit_upper", "_hit_lower")
 
 
 @pytest.fixture
@@ -191,7 +191,9 @@ def test_growth_by_single_steps_matches_one_extension(kernel_on):
 
         steps, whole = run() if kernel_on else numpy_path(run)
         assert_tables_equal(steps, whole)
-        assert np.array_equal(steps._eps[2:3_001], seq.values(3_000, start=2))
+        saved = np.array([float(row.split(",")[3])
+                          for row in steps.to_csv_string().splitlines()[2:]])
+        assert np.array_equal(saved, seq.values(3_000))
 
 
 def resampling_risk_both(table, p, horizon, **kwargs):

@@ -320,6 +320,22 @@ def test_custom_table_certifies_no_side_across_zero_increments():
     assert_caps(table, n, edges, end=lambda cap: 5999)
 
 
+def test_custom_table_scan_stops_at_its_end():
+    # the default values to 1,100 steps: from n = 1,090 the first window runs
+    # past the end, where no run steps; no lower stop lies in (1090, 1100]
+    values = SpendingSequence.default(1e-3, 1000).values(1100)
+    table = BoundaryTable(0.05, SpendingSequence.custom(1e-3, values))
+    assert interim_edges(table, 1000) == ((25, 1005), (81, 1011))
+    edges = interim_edges(table, 1090)
+    table.extend(1100)
+    up, lo = table.upper_array(1100), table.lower_array(1100)
+    later = range(1091, 1101)
+    his = [Fraction(int(up[nu - 2]), nu) for nu in later if up[nu - 1] <= up[nu - 2]]
+    assert not any(lo[nu - 1] > lo[nu - 2] for nu in later)
+    assert edges == ((0, 1), (86, 1091)) and Fraction(*edges[1]) == max(his)
+    assert interim_edges(table, 1100) == ((0, 1), (1, 1))
+
+
 # -- table cache and combinator ---------------------------------------------
 
 

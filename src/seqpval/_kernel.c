@@ -1,7 +1,9 @@
 /* Compiled kernels: the lattice recursion behind BoundaryTable.extend (under
- * the null rate alpha) and inference._sweep (under any p), and the null draws
+ * the null rate alpha) and inference._sweep (under any p), the null draws
  * and likelihood-ratio statistics of the contingency-table bootstrap
- * (applications.sample_null_batch and applications._lrt_batch).
+ * (applications.sample_null_batch and applications._lrt_batch), and the
+ * truncated inner runs of one take of a nested bootstrap stream
+ * (applications._NestedStream.take: seqpval_nested).
  *
  * Every function repeats its numpy reference loop operation for operation,
  * so their results are bit-identical to them.  That holds only when the file
@@ -227,76 +229,171 @@ int seqpval_sweep(double *buf, int64_t cap, int64_t *st, double *sum_alive, doub
  * ctypes.next_double applied to its ctypes.state_address. */
 typedef double (*next_double_fn)(void *);
 
-/* `size` null tables of n_draw categorical draws each over k cells, counted
- * into out[t * k .. t * k + k).  A draw with uniform u takes the cell
- * #{i : cdf[i] <= u} (numpy's searchsorted(cdf, u, side="right") on the
- * non-decreasing cdf), clamped to `last`, the last cell of positive
- * probability.  The guide table only chooses where that search starts: u is
- * looked up from guide[floor(u * g)], g + 1 entries in 0 .. k (the product
- * may round up to g), and the walk down and then up from there ends at the
- * same cell from any start.  Uniforms are taken one per draw, in order, so
- * the bit generator advances as under numpy's random(size * n_draw). */
+/* One null table of n_draw categorical draws over k cells, added to row.  A
+ * draw with uniform u takes the cell #{i : cdf[i] <= u} (numpy's
+ * searchsorted(cdf, u, side="right") on the non-decreasing cdf), clamped to
+ * `last`, the last cell of positive probability.  The guide table only
+ * chooses where that search starts: u is looked up from guide[floor(u * g)],
+ * g + 1 entries in 0 .. k (the product may round up to g), and the walk down
+ * and then up from there ends at the same cell from any start. */
+static inline void draw_table(next_double_fn next, void *state, int64_t n_draw,
+                              const double *cdf, int64_t k, int64_t last,
+                              const int64_t *guide, int64_t g, int64_t *row)
+{
+    const double scale = (double)g;
+    for (int64_t d = 0; d < n_draw; d++) {
+        const double u = next(state);
+        const double x = u * scale;
+        int64_t i = guide[x >= 0.0 && x < scale ? (int64_t)x : g];
+        while (i > 0 && cdf[i - 1] > u)
+            i--;
+        while (i < k && cdf[i] <= u)
+            i++;
+        row[i < last ? i : last]++;
+    }
+}
+
+/* `size` null tables of draw_table, counted into out[t * k .. t * k + k).
+ * Uniforms are taken one per draw, in order, so the bit generator advances
+ * as under numpy's random(size * n_draw). */
 int seqpval_null_draw(void *next_double, void *state, int64_t size, int64_t n_draw,
                       const double *cdf, int64_t k, int64_t last, const int64_t *guide,
                       int64_t g, int64_t *out)
 {
     const next_double_fn next = (next_double_fn)next_double;
-    const double scale = (double)g;
     memset(out, 0, (size_t)(size * k) * sizeof(int64_t));
-    for (int64_t t = 0; t < size; t++) {
-        int64_t *row = out + t * k;
-        for (int64_t d = 0; d < n_draw; d++) {
-            const double u = next(state);
-            const double x = u * scale;
-            int64_t i = guide[x >= 0.0 && x < scale ? (int64_t)x : g];
-            while (i > 0 && cdf[i - 1] > u)
-                i--;
-            while (i < k && cdf[i] <= u)
-                i++;
-            row[i < last ? i : last]++;
-        }
-    }
+    for (int64_t t = 0; t < size; t++)
+        draw_table(next, state, n_draw, cdf, k, last, guide, g, out + t * k);
     return SEQPVAL_DONE;
 }
 
-/* Likelihood-ratio statistics of `size` tables of rows x cols counts,
- * out[t] = 2 (((C - R) - K) + x(N)), where C, R and K sum x(k) = xlogx[k]
- * over the cells, the row sums and the column sums, each in numpy's pairwise
+/* The likelihood-ratio statistic of one table a of rows x cols counts,
+ * *out = 2 (((C - R) - K) + x(N)), where C, R and K sum x(k) = xlogx[k] over
+ * the cells, the row sums and the column sums, each in numpy's pairwise
  * order, as applications._lrt_batch computes them.  work holds
- * rows * cols + rows + cols doubles.  A count or margin outside
- * 0 .. n_total returns SEQPVAL_RANGE, so xlogx is never read out of bounds. */
-int seqpval_lrt(const int64_t *counts, int64_t size, int64_t rows, int64_t cols,
-                const double *xlogx, int64_t n_total, double *work, double *out)
+ * rows * cols + rows + cols doubles.  A count or margin outside 0 .. n_total
+ * returns SEQPVAL_RANGE, so xlogx is never read out of bounds. */
+static inline int lrt_table(const int64_t *a, int64_t rows, int64_t cols, const double *xlogx,
+                            int64_t n_total, double *work, double *out)
 {
     const int64_t cells = rows * cols;
     double *xc = work, *xr = work + cells, *xk = work + cells + rows;
-    for (int64_t t = 0; t < size; t++) {
-        const int64_t *a = counts + t * cells;
-        for (int64_t i = 0; i < cells; i++)
-            if (a[i] < 0 || a[i] > n_total)
-                return SEQPVAL_RANGE;
-        for (int64_t i = 0; i < rows; i++) {
-            int64_t r = 0;
-            for (int64_t j = 0; j < cols; j++)
-                r += a[i * cols + j];
-            if (r > n_total)
-                return SEQPVAL_RANGE;
-            xr[i] = xlogx[r];
+    for (int64_t i = 0; i < cells; i++)
+        if (a[i] < 0 || a[i] > n_total)
+            return SEQPVAL_RANGE;
+    for (int64_t i = 0; i < rows; i++) {
+        int64_t r = 0;
+        for (int64_t j = 0; j < cols; j++)
+            r += a[i * cols + j];
+        if (r > n_total)
+            return SEQPVAL_RANGE;
+        xr[i] = xlogx[r];
+    }
+    for (int64_t j = 0; j < cols; j++) {
+        int64_t c = 0;
+        for (int64_t i = 0; i < rows; i++)
+            c += a[i * cols + j];
+        if (c > n_total)
+            return SEQPVAL_RANGE;
+        xk[j] = xlogx[c];
+    }
+    for (int64_t i = 0; i < cells; i++)
+        xc[i] = xlogx[a[i]];
+    const double sc = pairwise_sum(xc, cells);
+    const double sr = pairwise_sum(xr, rows);
+    const double sk = pairwise_sum(xk, cols);
+    *out = 2.0 * (((sc - sr) - sk) + xlogx[n_total]);
+    return SEQPVAL_DONE;
+}
+
+/* Likelihood-ratio statistics of `size` tables of lrt_table, into out[t]. */
+int seqpval_lrt(const int64_t *counts, int64_t size, int64_t rows, int64_t cols,
+                const double *xlogx, int64_t n_total, double *work, double *out)
+{
+    for (int64_t t = 0; t < size; t++)
+        if (lrt_table(counts + t * rows * cols, rows, cols, xlogx, n_total, work, out + t))
+            return SEQPVAL_RANGE;
+    return SEQPVAL_DONE;
+}
+
+/* The m outer bits of one take of a nested stream (applications._NestedStream)
+ * as out[3 b .. 3 b + 3) = {bit, inner n, inner tables drawn}.  Tables have
+ * rows x (k / rows) cells and n_total draws of the sampler (cdf, k, last,
+ * guide, g).  With `refit` set (the double bootstrap), a bit first draws A_i,
+ * takes t = T(A_i) and refits the sampler to q = r c^T / N^2 of A_i's margins
+ * as applications._independence and _Inversion do; otherwise t = t_ref.  The
+ * inner run follows runner.run on the clipped bounds upper[n - 1] and
+ * lower[n - 1], n = 1 .. M: takes of chunk0 tables, doubling to chunk_max,
+ * capped at M - n and drawn whole; table n scores 1{T >= t - delta} until
+ * S_n >= U'_n (bit 0) or S_n <= L'_n (bit 1).  With the uniforms taken in
+ * order, the results and generator state are the per-bit Python loop's.
+ * Drawn tables lie in range, so lrt_table cannot fail.  work holds
+ * 2 k + rows + k / rows doubles, iwork g + 1 + k + rows + k / rows integers. */
+int seqpval_nested(void *next_double, void *state, int64_t m, const double *cdf, int64_t k,
+                   int64_t last, const int64_t *guide, int64_t g, int64_t rows,
+                   int64_t n_total, const double *xlogx, int64_t refit, double t_ref,
+                   double delta, const int64_t *upper, const int64_t *lower, int64_t M,
+                   int64_t chunk0, int64_t chunk_max, double *work, int64_t *iwork,
+                   int64_t *out)
+{
+    const next_double_fn next = (next_double_fn)next_double;
+    const int64_t cols = k / rows;
+    double *icdf = work, *lrt_work = work + k;
+    int64_t *iguide = iwork, *a = iwork + g + 1, *marg = iwork + g + 1 + k;
+    for (int64_t b = 0; b < m; b++) {
+        const double *qcdf = cdf;
+        const int64_t *qguide = guide;
+        int64_t qlast = last;
+        double t = t_ref;
+        if (refit) {
+            memset(a, 0, (size_t)k * sizeof(int64_t));
+            draw_table(next, state, n_total, cdf, k, last, guide, g, a);
+            lrt_table(a, rows, cols, xlogx, n_total, lrt_work, &t);
+            memset(marg, 0, (size_t)(rows + cols) * sizeof(int64_t));
+            for (int64_t i = 0; i < k; i++) {
+                marg[i / cols] += a[i];
+                marg[rows + i % cols] += a[i];
+            }
+            const double nn = (double)(n_total * n_total);
+            double acc = 0.0;
+            for (int64_t i = 0; i < k; i++) {
+                const double q = (double)(marg[i / cols] * marg[rows + i % cols]) / nn;
+                icdf[i] = acc += q;
+                if (q > 0.0)
+                    qlast = i;
+            }
+            for (int64_t e = 0, i = 0; e <= g; e++) {
+                while (i < k && icdf[i] <= (double)e / (double)g)
+                    i++;
+                iguide[e] = i;
+            }
+            qcdf = icdf;
+            qguide = iguide;
         }
-        for (int64_t j = 0; j < cols; j++) {
-            int64_t c = 0;
-            for (int64_t i = 0; i < rows; i++)
-                c += a[i * cols + j];
-            if (c > n_total)
-                return SEQPVAL_RANGE;
-            xk[j] = xlogx[c];
+        const double cut = t - delta;
+        int64_t n = 0, s = 0, drawn = 0, chunk = chunk0, bit = 0, stop = 0;
+        while (!stop && n < M) {
+            const int64_t take = chunk < M - n ? chunk : M - n;
+            for (int64_t d = 0; d < take; d++) {
+                memset(a, 0, (size_t)k * sizeof(int64_t));
+                draw_table(next, state, n_total, qcdf, k, qlast, qguide, g, a);
+                if (stop)
+                    continue;
+                double stat;
+                lrt_table(a, rows, cols, xlogx, n_total, lrt_work, &stat);
+                s += stat >= cut;
+                n++;
+                if (s >= upper[n - 1] || s <= lower[n - 1]) {
+                    stop = 1;
+                    bit = s < upper[n - 1];
+                }
+            }
+            drawn += take;
+            chunk = 2 * chunk < chunk_max ? 2 * chunk : chunk_max;
         }
-        for (int64_t i = 0; i < cells; i++)
-            xc[i] = xlogx[a[i]];
-        const double sc = pairwise_sum(xc, cells);
-        const double sr = pairwise_sum(xr, rows);
-        const double sk = pairwise_sum(xk, cols);
-        out[t] = 2.0 * (((sc - sr) - sk) + xlogx[n_total]);
+        out[3 * b] = bit;
+        out[3 * b + 1] = n;
+        out[3 * b + 2] = drawn;
     }
     return SEQPVAL_DONE;
 }

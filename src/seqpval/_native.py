@@ -47,6 +47,8 @@ _SIGNATURES = {
     "seqpval_sweep": (_P, _I, _P, _P, _D, _I, _P, _P, _D, _P, _P, _P, _P, _I, _P),
     "seqpval_null_draw": (_P, _P, _I, _I, _P, _I, _I, _P, _I, _P),
     "seqpval_lrt": (_P, _I, _I, _I, _P, _I, _P, _P),
+    "seqpval_nested": (_P, _P, _I, _P, _I, _I, _P, _I, _I, _I, _P, _I, _D, _D, _P, _P, _I, _I,
+                       _I, _P, _P, _P),
 }
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _native
 from .boundary import BoundaryTable
-from .runner import LOWER, RunResult, get_table, interim_interval, run
+from .runner import INITIAL_CHUNK, LOWER, MAX_CHUNK, RunResult, get_table, interim_interval, run
 from .spending import SpendingSequence
 
 
@@ -500,44 +500,68 @@ class _NestedStream:
     run that consumed n bits cost ``sum(costs[:n])``.  ``drawn`` counts the
     null draws of every outer bit taken: its inner stream's and its outer
     draws.
+
+    All draws come from ``rng``, bit after bit.  The compiled kernel computes
+    a take in one call; without it, and for tables drawn by multinomial, the
+    per-bit loop gives the same bits, costs and Generator state.
     """
 
     outer_draws = 0  # null draws per outer bit besides its inner run's
 
-    def __init__(self, bounds: _ClippedBounds, rng):
+    def __init__(self, model: NullModel, bounds: _ClippedBounds, rng, t_ref: float = math.nan):
+        self.model = model
+        self.t_ref = t_ref
         self.bounds = bounds
         self.rng = rng
         self.costs: list[int] = []
         self.drawn = 0
+        self._work = None  # the kernel's work space, made on its first call
 
     def take(self, m: int) -> np.ndarray:
         # at most 8, then 16, then 32 bits a take (as long as the takes are
         # full): every outer bit is an entire truncated inner run, so small
         # takes compute few past the outer stop
         m = min(m, 32, 8 + len(self.costs))
-        out = np.empty(m, dtype=np.int8)
-        for i in range(m):
-            inner = self._inner_stream()
-            out[i], n = _truncated_indicator(self.bounds, inner)
-            self.costs.append(n + self.outer_draws)
-            self.drawn += inner.drawn + self.outer_draws
-        return out
+        model, kern = self.model, _native.kernel()
+        if kern is None or model.total > _INVERSION_MAX_DRAWS_PER_CELL * model.cell_probs.size:
+            out = np.empty(m, dtype=np.int8)
+            for i in range(m):
+                inner = self._inner_stream()
+                out[i], n = _truncated_indicator(self.bounds, inner)
+                self.costs.append(n + self.outer_draws)
+                self.drawn += inner.drawn + self.outer_draws
+            return out
+        rows, cols = model.cell_probs.shape
+        inv = model._inversion
+        if self._work is None:
+            # k log k (kept referenced), work space, and the cut's margin
+            self._work = (_xlogx(model.total), np.empty(2 * rows * cols + rows + cols),
+                          np.empty(inv.args[-1] + 1 + rows * cols + rows + cols, dtype=np.int64),
+                          2.0 * _lrt_rounding_bound((rows, cols), model.total))
+        (_, x_addr), work, iwork, delta = self._work
+        out = np.empty((m, 3), dtype=np.int64)  # (bit, inner n, inner tables drawn)
+        bitgen = self.rng.bit_generator
+        c = bitgen.ctypes
+        with bitgen.lock:
+            kern.seqpval_nested(
+                c.next_double, c.state_address, m, *inv.args, rows, model.total, x_addr,
+                self.outer_draws, self.t_ref, delta, _native.ptr(self.bounds._upper, np.int64),
+                _native.ptr(self.bounds._lower, np.int64), self.bounds.M, INITIAL_CHUNK,
+                MAX_CHUNK, work.ctypes.data, iwork.ctypes.data, out.ctypes.data)
+        self.costs.extend((out[:, 1] + self.outer_draws).tolist())
+        self.drawn += int(out[:, 2].sum()) + m * self.outer_draws
+        return out[:, 0].astype(np.int8)
 
 
 class _InnerLevelStream(_NestedStream):
     """Outer bits 1{inner truncated level estimate <= inner_alpha}.
 
-    Each outer bit runs the engine on a fresh rejection stream, truncated at
-    M inner samples, and compares the resulting estimate to `inner_alpha`.
+    Each outer bit runs the engine on a rejection stream at t_ref, truncated
+    at M inner samples, and compares the resulting estimate to `inner_alpha`.
     """
 
-    def __init__(self, model, t_crit, bounds, rng):
-        super().__init__(bounds, rng)
-        self.model = model
-        self.t_crit = t_crit
-
     def _inner_stream(self) -> NullStatStream:
-        return NullStatStream(self.model, self.t_crit, self.rng.spawn(1)[0])
+        return NullStatStream(self.model, self.t_ref, self.rng)
 
 
 def check_level_bootstrap(
@@ -560,7 +584,7 @@ def check_level_bootstrap(
     t_crit = chisq_quantile(inner_alpha, data.df)
     frac = Fraction(inner_alpha).limit_denominator(10**6)
     bounds = _ClippedBounds(cfg.table(inner_alpha), M, frac.numerator, frac.denominator)
-    stream = _InnerLevelStream(model, t_crit, bounds, cfg.rng())
+    stream = _InnerLevelStream(model, bounds, cfg.rng(), t_crit)
     res = run(cfg.table(outer_alpha), stream, max_steps=cfg.max_steps)
     return BootstrapReport(
         statistic=t_crit, chisq_p=inner_alpha, result=res,
@@ -577,18 +601,14 @@ class _DoubleBootstrapStream(_NestedStream):
     refitted to A_i, truncated at M, and emit 1{inner estimate <= p1}.
     """
 
-    outer_draws = 1  # A_i
-
-    def __init__(self, model, bounds, rng):
-        super().__init__(bounds, rng)
-        self.model = model
+    outer_draws = 1  # A_i; the kernel refits the inner model when it is 1
 
     def _inner_stream(self) -> NullStatStream:
         # the same draw as sample_null, without building a ContingencyTable
         a_i = sample_null_batch(self.model, self.rng, 1)
         n = self.model.total
         refit = _independence(a_i[0].sum(axis=1), a_i[0].sum(axis=0), n)
-        return NullStatStream(refit, float(_lrt_batch(a_i, n)[0]), self.rng.spawn(1)[0])
+        return NullStatStream(refit, float(_lrt_batch(a_i, n)[0]), self.rng)
 
 
 def double_bootstrap(

@@ -562,10 +562,10 @@ def test_double_bootstrap_side_and_cost(data):
     (lambda data: check_level(data, config=EngineConfig(seed=2)),
      ("stopped", 114, 114)),
     (lambda data: double_bootstrap(data, config=EngineConfig(seed=5, max_steps=150)),
-     ("truncated", 150, 17595)),
+     ("truncated", 150, 18977)),
     (lambda data: check_level_bootstrap(
         data, M=50, config=EngineConfig(seed=3, max_steps=200)),
-     ("stopped", 35, 1210)),
+     ("stopped", 35, 1263)),
 ], ids=["bootstrap", "level", "double_bootstrap", "check_level_bootstrap"])
 def test_seeded_samples_used_pinned(data, construct, expected):
     # seeded runs and their sample charges, pinned so that any change to the

@@ -1,8 +1,9 @@
 """The compiled kernel against the numpy reference loops.
 
 Both paths must give bit-identical tables, sweep states, stop records, null
-draws and LRT statistics, so every comparison here is exact (``==``).  The
-numpy path is forced in-process by clearing the loader's cached handle.
+draws, LRT statistics and nested takes, so every comparison here is exact
+(``==``).  The numpy path is forced in-process by clearing the loader's
+cached handle.
 """
 
 import ctypes
@@ -19,6 +20,7 @@ import pytest
 from seqpval import _native, applications, inference
 from seqpval.applications import NullModel, _lrt_batch, sample_null_batch
 from seqpval.boundary import BoundaryTable, DegenerateBoundaryError
+from seqpval.runner import get_table
 from seqpval.spending import SpendingSequence
 
 TABLE_FIELDS = ("_upper", "_lower", "_hit_upper", "_hit_lower")
@@ -363,6 +365,76 @@ def test_lrt_rejects_counts_outside_range(kernel_on, counts):
     assert lrt(batch[:1], 10).shape == (1,)
     with pytest.raises(IndexError):
         lrt(batch, 10)
+
+
+# -- nested streams --------------------------------------------------------------
+
+
+def nested_takes(construct, model, M, rng, t_ref, takes=(8, 16, 32, 32, 7)):
+    """Each take's bits with the stream's costs and drawn count after it, and
+    the Generator's state at the end."""
+    bounds = applications._ClippedBounds(get_table(0.05), M, 1, 20)
+    if construct == "double":
+        stream = applications._DoubleBootstrapStream(model, bounds, rng)
+    else:
+        stream = applications._InnerLevelStream(model, bounds, rng, t_ref)
+    out = [(stream.take(m).tobytes(), list(stream.costs), stream.drawn) for m in takes]
+    return out, state(rng)
+
+
+def assert_nested_matches_loop(construct, model, M, bit_generator=np.random.PCG64, t_ref=None):
+    if t_ref is None:
+        rows, cols = model.cell_probs.shape
+        t_ref = applications.chisq_quantile(0.05, (rows - 1) * (cols - 1))
+    a = nested_takes(construct, model, M, np.random.Generator(bit_generator(7)), t_ref)
+    b = numpy_path(nested_takes, construct, model, M, np.random.Generator(bit_generator(7)),
+                   t_ref)
+    assert a == b
+    return a
+
+
+@pytest.mark.parametrize("construct", ["double", "level"])
+@pytest.mark.parametrize("M", [1, 7, 50, 250])
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox,
+                                           np.random.SFC64, np.random.MT19937])
+def test_nested_take_matches_loop(kernel, construct, M, bit_generator):
+    model = applications.fit_independence(applications.example_table())
+    takes, _ = assert_nested_matches_loop(construct, model, M, bit_generator)
+    if M == 1:  # every inner run stops at its first step
+        assert set(takes[-1][1]) == {1 + (construct == "double")}
+
+
+@pytest.mark.parametrize("construct", ["double", "level"])
+@pytest.mark.parametrize("M", [1, 7, 50, 250])
+def test_nested_take_matches_loop_on_zero_margins(kernel, construct, M):
+    # a model with a zero row and a zero column; and a total below the rows,
+    # so that every A_i has zero rows and its refit zero margins
+    for model in (null_model((5, 7), 39, zero_margins=True), null_model((5, 7), 3)):
+        assert_nested_matches_loop(construct, model, M)
+    if construct == "level":
+        # every inner bit 1: every run stops at one step, step 1 for M < 20,
+        # where U'_1 = c + 1 = 1
+        takes, _ = assert_nested_matches_loop(construct, null_model((5, 7), 39), M, t_ref=0.0)
+        assert len(set(takes[-1][1])) == 1 and (takes[-1][1][0] == 1) == (M < 20)
+
+
+class _NoNestedKernel:
+    """The loaded kernel without seqpval_nested."""
+
+    def __init__(self, lib):
+        self._lib = lib
+
+    def __getattr__(self, name):
+        assert name != "seqpval_nested", "the nested kernel ran"
+        return getattr(self._lib, name)
+
+
+@pytest.mark.parametrize("construct", ["double", "level"])
+def test_nested_take_above_the_inversion_cut_runs_the_loop(kernel, monkeypatch, construct):
+    model = null_model((2, 2), 4 * CUT + 1)
+    ref = numpy_path(nested_takes, construct, model, 50, np.random.default_rng(7), 1.0)
+    monkeypatch.setattr(_native, "_lib", _NoNestedKernel(kernel))
+    assert nested_takes(construct, model, 50, np.random.default_rng(7), 1.0) == ref
 
 
 FALLBACK_SCRIPT = """

@@ -33,6 +33,8 @@ RISK_RESIDUAL = 1e-8  # a risk bracket is certified when its residual is at most
 CI_HORIZON = 200_000  # horizon of the counts a confidence interval builds itself
 CI_TOL = 1e-6  # bisection tolerance of confidence-interval endpoints
 CI_CERT_TOL = 1e-4  # an interval is certified when both enclosures are at most this wide
+_BLOCK = 1024  # records per block of the log-mass bounds of StoppingCounts
+_CUT = -746.0  # exp is 0.0 at and below this log mass: ln(2^-1075) = -745.13
 
 
 # -- forward lattice sweep -------------------------------------------------
@@ -324,9 +326,14 @@ class StoppingCounts:
     """
 
     def __init__(self, table: BoundaryTable, horizon: int):
+        if horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {horizon}")
         self.table = table
         self._lattice = _initial_state(table.alpha)
         self.tau, self.s, self.side, self.log_count = (np.empty(0, d) for d in _STOP_DTYPES)
+        # _bounds[side, :, b]: max log_count, min s and min tau - s over the
+        # upper (side 0) or lower (1) records of block b (-inf, inf if none)
+        self._s_f, self._f_f, self._bounds = np.empty(0), np.empty(0), np.empty((2, 3, 0))
         self.horizon = 0
         self.extend(horizon)
 
@@ -348,11 +355,25 @@ class StoppingCounts:
         self.log_count = np.concatenate([self.log_count, log_count])
         self._s_f = self.s.astype(float)
         self._f_f = (self.tau - self.s).astype(float)
+        at = np.arange(0, self.tau.size, _BLOCK)
+        self._bounds = np.array([
+            [np.maximum.reduceat(np.where(on, self.log_count, -np.inf), at),
+             np.minimum.reduceat(np.where(on, self._s_f, np.inf), at),
+             np.minimum.reduceat(np.where(on, self._f_f, np.inf), at)]
+            for on in (self.side == SIDE_UPPER, self.side == SIDE_LOWER)])
         self.horizon = horizon
         return self
 
     def masses(self, p: float) -> np.ndarray:
-        """Stopped-outcome probabilities under p, aligned with tau/s/side."""
+        """Stopped-outcome probabilities under p, aligned with tau/s/side.
+
+        For 0 < p < 1 the log masses log_count + s log(p) + (tau - s) log1p(-p)
+        are computed only in blocks where a side's bound, max log_count + min s
+        log(p) + min (tau - s) log1p(-p), exceeds _CUT; the rest stay 0.0.
+        That is exact: both logs are <= 0 and rounding is monotone, so each log
+        mass in a skipped block is at most its bound, so at most _CUT, where exp
+        is 0.0.  Log masses at most _CUT become -inf (exp is slow on underflow).
+        """
         if not (0.0 <= p <= 1.0):
             raise ValueError(f"p must be in [0, 1], got {p}")
         from scipy.special import xlog1py, xlogy  # slow to import; import on first use
@@ -360,10 +381,19 @@ class StoppingCounts:
         if 0.0 < p < 1.0:
             # xlogy(s, p) is s * log(p) for finite log(p): the same products
             # in the same order as the array form, from two scalar logs
-            logw = self.log_count + self._s_f * xlogy(1.0, p) + self._f_f * xlog1py(1.0, -p)
-        else:
-            # 0 * log(0) must be 0 here, which only the array form gives
-            logw = self.log_count + xlogy(self._s_f, p) + xlog1py(self._f_f, -p)
+            lp, lq, b = xlogy(1.0, p), xlog1py(1.0, -p), self._bounds
+            w = np.zeros(self.tau.size)
+            live = ((b[:, 0] + b[:, 1] * lp + b[:, 2] * lq) > _CUT).any(axis=0)
+            runs = np.flatnonzero(np.diff(live, prepend=False, append=False)) * _BLOCK
+            for a, z in runs.reshape(-1, 2):  # a run of live blocks
+                o = w[a:z]
+                np.add(self.log_count[a:z], np.multiply(self._s_f[a:z], lp, out=o), out=o)
+                o += self._f_f[a:z] * lq
+                o[o <= _CUT] = -np.inf
+                np.exp(o, out=o)
+            return w
+        # 0 * log(0) must be 0 here, which only the array form gives
+        logw = self.log_count + xlogy(self._s_f, p) + xlog1py(self._f_f, -p)
         return np.exp(logw, out=logw)
 
     def estimate_ge_mask(self, num: int, den: int) -> np.ndarray:

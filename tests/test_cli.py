@@ -105,6 +105,9 @@ def test_run_with_ci():
     assert code == EXIT_OK
     rec = json.loads(out)
     assert rec["ci"]["p_low"] < rec["p_hat"] < rec["ci"]["p_high"]
+    # the exact endpoints of this seeded run, pinned
+    assert rec["ci"] == {"beta": 0.1, "p_high": 0.25635576248168945,
+                         "p_low": 0.11134195327758789}
 
 
 def test_run_with_uncertified_ci_warns(monkeypatch):

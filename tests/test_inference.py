@@ -1,3 +1,4 @@
+import copy
 import math
 import subprocess
 import sys
@@ -7,7 +8,10 @@ import pytest
 
 from seqpval.boundary import BoundaryTable
 from seqpval.inference import (
+    _BLOCK,
+    _CUT,
     _ETAU_FLOOR,
+    ConfidenceInterval,
     SIDE_LOWER,
     SIDE_UPPER,
     StoppingCounts,
@@ -288,14 +292,74 @@ def test_counts_endpoint_masses(default_table, counts):
     assert counts.masses(1.0).sum() == pytest.approx(1.0)
 
 
-def test_counts_masses_equal_array_formula(counts):
+# p log-spaced down to 1e-300 and 1 - p down to 1e-16, the least subnormal,
+# alpha and both ends
+DENSE_PS = np.concatenate([np.geomspace(1e-300, 0.5, 1000), 1.0 - np.geomspace(1e-16, 0.5, 1000),
+                           [5e-324, 0.05, 0.0, 1.0]])
+
+
+def _masses_equal_array_formula(counts, ps=DENSE_PS):
     from scipy.special import xlog1py, xlogy
 
     s_f = counts.s.astype(float)
     f_f = (counts.tau - counts.s).astype(float)
-    for p in (0.0, 1e-300, 1e-4, 0.03, 0.05, 0.0508, 0.2, 0.5, 0.9, 1 - 1e-16, 1.0):
+    for p in ps:
         expected = np.exp(counts.log_count + xlogy(s_f, p) + xlog1py(f_f, -p))
         assert np.array_equal(counts.masses(p), expected), p
+
+
+def test_counts_masses_equal_array_formula(default_table, counts):
+    # masses skips the blocks whose every mass underflows: the result must be
+    # the array formula's, bit for bit, at every p
+    _masses_equal_array_formula(counts)
+    resumed = StoppingCounts(default_table, 20_000).extend(30_000)
+    assert resumed.tau.size % _BLOCK != 0
+    _masses_equal_array_formula(resumed)
+    small = StoppingCounts(default_table, 500)
+    assert 0 < small.tau.size < _BLOCK
+    _masses_equal_array_formula(small)
+    n = np.arange(1, 5_001)
+    custom = BoundaryTable(0.1, SpendingSequence.custom(1e-2, 1e-2 * (1.0 - np.exp(-n / 300.0))
+                                                        * 0.999))
+    _masses_equal_array_formula(StoppingCounts(custom, 5_000))
+
+
+def test_counts_copy_extended_leaves_the_original(default_table):
+    # confidence_interval extends a copy of the counts it was given
+    given = StoppingCounts(default_table, 20_000)
+    ps = DENSE_PS[::20]
+    before = [given.masses(p) for p in ps]
+    grown = copy.copy(given)
+    grown.extend(40_000)
+    _masses_equal_array_formula(grown)
+    for p, w in zip(ps, before):
+        assert np.array_equal(given.masses(p), w), p
+    _masses_equal_array_formula(given, ps)
+
+
+def test_exp_is_zero_at_and_below_the_cut():
+    # the fact masses' skip rests on: np.exp gives exactly 0.0 wherever a log
+    # mass is at most _CUT, in full vectors and in tails alike
+    assert _CUT < -1075 * math.log(2.0)  # ln(2^-1075), half the least subnormal
+    below = np.array([_CUT, np.nextafter(_CUT, -np.inf), -750.0, -1e4, -1e300,
+                      np.finfo(np.float64).min, -np.inf])
+    for size in (*range(1, 40), 1000, 4097):
+        for x in below:
+            assert not np.exp(np.full(size, x)).any(), (size, x)
+        mixed = np.resize(below, size)
+        assert not np.exp(mixed).any(), size
+    assert not np.exp(np.linspace(_CUT, -800.0, 100_001)).any()
+
+
+def test_counts_reject_horizon_below_one(default_table):
+    for h in (0, -3):
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            StoppingCounts(default_table, h)
+    # a horizon with no stop yet still gives a complete, empty law
+    one = StoppingCounts(default_table, 1)
+    assert one.tau.size == 0 and one._bounds.shape == (2, 3, 0)
+    for p in (0.0, 0.03, 1.0):
+        assert one.masses(p).size == 0
 
 
 def test_counts_extend_is_idempotent(default_table):
@@ -401,6 +465,31 @@ def test_ci_at_its_cap_is_returned_uncertified(default_table):
                                 counts=StoppingCounts(default_table, 50_000))
     assert exact.certified
     assert capped.p_low < exact.p_low < exact.p_high < capped.p_high
+
+
+# seeded stopped runs (p, seed, tau, S) on the default table and the edges
+# (p_low, p_high) of their beta = 0.1 intervals, to which both enclosures shrink
+PINNED_CIS = [
+    (0.01, 1, 286, 2, (0.0015654563903808594, 0.023305416107177734)),
+    (0.02, 2, 630, 12, (0.011970996856689453, 0.03232431411743164)),
+    (0.1, 3, 463, 44, (0.07055902481079102, 0.11547613143920898)),
+]
+
+
+@pytest.mark.parametrize("p, seed, tau, s, edges", PINNED_CIS)
+def test_ci_endpoints_pinned(default_table, counts, p, seed, tau, s, edges):
+    res = run(default_table, BernoulliSampler(p, seed=seed), max_steps=50_000)
+    assert (res.status, res.n, res.s) == (STOPPED, tau, s)
+    ci = confidence_interval(default_table, res, beta=0.1, counts=counts)
+    low, high = edges
+    assert ci == ConfidenceInterval(p_low=low, p_high=high, beta=0.1, p_obs_num=s, p_obs_den=tau,
+                                    horizon=200_000, certified=True,
+                                    enclosure=(low, low, high, high))
+
+
+def test_running_ci_pinned(default_table, counts):
+    assert confidence_interval_running(default_table, 50, 0.1, counts=counts) == (
+        0.0, 0.3287644386291504)
 
 
 def test_running_ci_contains_stopped_ci(default_table, counts):

@@ -677,9 +677,11 @@ def find_sample_size(
 
     `power_evaluator(size)` must return a bit stream of independent test
     rejections at that size; power is assumed non-decreasing in size.  Each
-    probe runs the engine at threshold `target_power` with a mandatory
-    truncation (`max_steps`); a truncated probe cannot classify its midpoint
-    and ends the search with an unresolved bracket.
+    probe runs the engine at threshold `target_power`, at the config's full
+    eps, truncated at `max_steps`; a truncated probe ends the search with an
+    unresolved bracket.  Each of the up to ceil(log2(hi - lo)) + 2 probes
+    errs with probability at most eps, so by the union bound a resolved size
+    is wrong with probability at most (number of probes) * eps.
     """
     if lo > hi:
         raise ValueError(f"empty search range [{lo}, {hi}]")

@@ -1,20 +1,19 @@
-"""Exact truncated-horizon inference for fixed stopping boundaries.
+"""Exact inference for fixed stopping boundaries.
 
 Everything here is a pure function of an immutable (fully extended) boundary
 table.  The central tool is a forward lattice sweep of the partial-sum
 distribution under an arbitrary success rate p; because the boundaries are
 fixed, the same recursion that defines them under the null rate also yields
 the exact law of the stopped outcome (tau, S_tau) under any p, truncated at a
-horizon.  Truncated-horizon answers are always returned as brackets that
-contain the exact answer: a computed value plus the residual unstopped mass
-that could still fall either way.  Risk brackets and confidence intervals
-extend their horizon up to a cap and then carry a `certified` flag that says
-whether the bracket got as narrow as its target; neither raises at the cap.
+horizon H.  Risk brackets add the unstopped residual to one edge, extend H up
+to a cap and carry a `certified` flag.  Confidence intervals are exact: every
+run alive after H stops inside the interim hull `interim_edges(table, H)`,
+proven up to its limit N (8.6e8 steps at k = 1000), so once the estimate in
+question lies outside that hull the residual belongs to one tail whole.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from dataclasses import dataclass, field
@@ -30,7 +29,6 @@ SIDE_UPPER = 1
 SIDE_LOWER = -1
 
 RISK_RESIDUAL = 1e-8  # a risk bracket is certified when its residual is at most this
-CI_HORIZON = 200_000  # horizon of the counts a confidence interval builds itself
 CI_TOL = 1e-6  # bisection tolerance of confidence-interval endpoints
 CI_CERT_TOL = 1e-4  # an interval is certified when both enclosures are at most this wide
 _BLOCK = 1024  # records per block of the log-mass bounds of StoppingCounts
@@ -164,16 +162,13 @@ class OutcomeDistribution:
             for t, j, sd, pr in zip(self.tau, self.s, self.side, self.prob)
         ]
 
-    def side_mass(self, side: int) -> float:
-        return float(self.prob[self.side == side].sum())
-
     @property
     def upper_mass(self) -> float:
-        return self.side_mass(SIDE_UPPER)
+        return float(self.prob[self.side == SIDE_UPPER].sum())
 
     @property
     def lower_mass(self) -> float:
-        return self.side_mass(SIDE_LOWER)
+        return float(self.prob[self.side == SIDE_LOWER].sum())
 
 
 def _check_sweep_args(p: float, horizon: int):
@@ -364,8 +359,8 @@ class StoppingCounts:
         self.horizon = horizon
         return self
 
-    def masses(self, p: float) -> np.ndarray:
-        """Stopped-outcome probabilities under p, aligned with tau/s/side.
+    def masses(self, p: float, size: int | None = None) -> np.ndarray:
+        """Stopped-outcome probabilities under p of the first `size` records (all if None).
 
         For 0 < p < 1 the log masses log_count + s log(p) + (tau - s) log1p(-p)
         are computed only in blocks where a side's bound, max log_count + min s
@@ -378,30 +373,31 @@ class StoppingCounts:
             raise ValueError(f"p must be in [0, 1], got {p}")
         from scipy.special import xlog1py, xlogy  # slow to import; import on first use
 
+        lc, s_f, f_f = self.log_count[:size], self._s_f[:size], self._f_f[:size]
         if 0.0 < p < 1.0:
             # xlogy(s, p) is s * log(p) for finite log(p): the same products
             # in the same order as the array form, from two scalar logs
-            lp, lq, b = xlogy(1.0, p), xlog1py(1.0, -p), self._bounds
-            w = np.zeros(self.tau.size)
+            lp, lq, b = xlogy(1.0, p), xlog1py(1.0, -p), self._bounds[..., : -(-lc.size // _BLOCK)]
+            w = np.zeros(lc.size)
             live = ((b[:, 0] + b[:, 1] * lp + b[:, 2] * lq) > _CUT).any(axis=0)
             runs = np.flatnonzero(np.diff(live, prepend=False, append=False)) * _BLOCK
             for a, z in runs.reshape(-1, 2):  # a run of live blocks
                 o = w[a:z]
-                np.add(self.log_count[a:z], np.multiply(self._s_f[a:z], lp, out=o), out=o)
-                o += self._f_f[a:z] * lq
+                np.add(lc[a:z], np.multiply(s_f[a:z], lp, out=o), out=o)
+                o += f_f[a:z] * lq
                 o[o <= _CUT] = -np.inf
                 np.exp(o, out=o)
             return w
         # 0 * log(0) must be 0 here, which only the array form gives
-        logw = self.log_count + xlogy(self._s_f, p) + xlog1py(self._f_f, -p)
+        logw = lc + xlogy(s_f, p) + xlog1py(f_f, -p)
         return np.exp(logw, out=logw)
 
-    def estimate_ge_mask(self, num: int, den: int) -> np.ndarray:
-        """Mask of outcomes whose estimate s/tau is >= num/den (exact rationals)."""
-        return (self.s * den >= self.tau * num).astype(float)
+    def estimate_ge_mask(self, num: int, den: int, size: int | None = None) -> np.ndarray:
+        """Mask of the first `size` outcomes (all if None) with s/tau >= num/den, exactly."""
+        return (self.s[:size] * den >= self.tau[:size] * num).astype(float)
 
-    def estimate_le_mask(self, num: int, den: int) -> np.ndarray:
-        return (self.s * den <= self.tau * num).astype(float)
+    def estimate_le_mask(self, num: int, den: int, size: int | None = None) -> np.ndarray:
+        return (self.s[:size] * den <= self.tau[:size] * num).astype(float)
 
 
 def _check_null_masses(table, first, last, tau, mass):
@@ -451,57 +447,49 @@ def _bisect_mono(f, target: float, increasing: bool) -> float:
     """Root of f = target for monotone f on [0, 1], to within CI_TOL; an end
     where f is already past the target is returned as is."""
     lo, hi = 0.0, 1.0
-    flo, fhi = f(lo), f(hi)
-    if (flo > target) if increasing else (flo < target):
+    if (f(lo) > target) if increasing else (f(lo) < target):
         return lo
-    if (fhi < target) if increasing else (fhi > target):
+    if (f(hi) < target) if increasing else (f(hi) > target):
         return hi
     while hi - lo > CI_TOL:
         mid = 0.5 * (lo + hi)
-        if (f(mid) < target) == increasing:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if (f(mid) < target) == increasing else (lo, mid)
     return 0.5 * (lo + hi)
 
 
-def _certified_root(g_stopped, target: float, increasing: bool) -> tuple[float, float]:
-    """Enclose the root of a monotone probability with bracketed truncation error.
+def _endpoints(table: BoundaryTable, counts: StoppingCounts | None, horizon: int,
+               low_est: tuple[int, int], high_est: tuple[int, int], target: float,
+               shares: list[tuple[bool, ...]]) -> tuple[tuple, tuple, int]:
+    """Enclosures of the lower and the upper confidence-interval endpoint, and
+    the horizon of the counts read: `counts`, or new ones if they stop short.
 
-    `g_stopped(p)` returns (stopped event mass, residual); the true value lies
-    in [mass, mass + residual].  The two adversarial allocations of the
-    residual give an enclosure of the true root.
+    The endpoints solve P_p(p_hat >= low_est) = target and P_p(p_hat <=
+    high_est) = target over the stops up to `horizon`, estimates (num, den)
+    compared as exact rationals s*den >= num*tau, ties included.  Tail i is
+    solved with each share of the residual in `shares[i]`: one where the hull
+    places the residual, both (0, 1), which enclose the root, where it does
+    not.  An estimate num = 0 has lower endpoint 0, and num = den upper 1.
     """
-    r1 = _bisect_mono(lambda p: g_stopped(p)[0], target, increasing)
-    r2 = _bisect_mono(lambda p: g_stopped(p)[0] + g_stopped(p)[1], target, increasing)
-    return (min(r1, r2), max(r1, r2))
-
-
-def _endpoints(cts: StoppingCounts, low_est: tuple[int, int], high_est: tuple[int, int],
-               target: float) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Enclosures of the lower and the upper confidence-interval endpoint.
-
-    The lower endpoint solves P_p(p_hat >= low_est) = target and the upper
-    one P_p(p_hat <= high_est) = target, each by `_certified_root` over the
-    stops in `cts`.  Estimates are exact rationals (num, den), compared as
-    s*den >= num*tau, ties included in the tail.  By convention an estimate
-    num = 0 has lower endpoint 0 and one with num = den upper endpoint 1.
-    """
-    ge = cts.estimate_ge_mask(*low_est)
-    le = cts.estimate_le_mask(*high_est)
+    if counts is None or counts.horizon < horizon:
+        counts = StoppingCounts(table, horizon)
+    size = int(np.searchsorted(counts.tau, horizon, side="right"))  # records are in step order
+    masks = counts.estimate_ge_mask(*low_est, size), counts.estimate_le_mask(*high_est, size)
 
     # one masses(p) serves both tails; the bisections start from 0 and 1 and
     # share midpoints until they part
     @functools.cache
     def tails(p):
-        w = cts.masses(p)
-        return float(w @ ge), float(w @ le), max(0.0, 1.0 - float(w.sum()))
+        w = counts.masses(p, size)
+        return float(w @ masks[0]), float(w @ masks[1]), max(0.0, 1.0 - float(w.sum()))
 
-    low_enc = ((0.0, 0.0) if low_est[0] == 0
-               else _certified_root(lambda p: (tails(p)[0], tails(p)[2]), target, True))
-    high_enc = ((1.0, 1.0) if high_est[0] == high_est[1]
-                else _certified_root(lambda p: (tails(p)[1], tails(p)[2]), target, False))
-    return low_enc, high_enc
+    def root(i, increasing):
+        r = [_bisect_mono(lambda p: tails(p)[i] + (tails(p)[2] if a else 0.0), target, increasing)
+             for a in shares[i]]
+        return (min(r), max(r))
+
+    low_enc = (0.0, 0.0) if low_est[0] == 0 else root(0, True)
+    high_enc = (1.0, 1.0) if high_est[0] == high_est[1] else root(1, False)
+    return low_enc, high_enc, counts.horizon
 
 
 def confidence_interval(
@@ -511,36 +499,45 @@ def confidence_interval(
     counts: StoppingCounts | None = None,
     max_horizon: int = 4_000_000,
 ) -> ConfidenceInterval:
-    """Exact 1-beta confidence interval for p from a stopped run.
+    """Exact 1-beta confidence interval for p from a stopped run (s, tau).
 
-    Endpoints solve the tail equations P_p(p_hat >= p_obs) = beta/2 (lower)
-    and P_p(p_hat <= p_obs) = beta/2 (upper), each by bisection with the
-    unstopped residual mass allocated adversarially in both directions; the
-    returned endpoints are the outer edges of the two enclosures, so the
-    interval contains the exact one whatever the horizon.  The counts (built
-    at CI_HORIZON when not given) double, up to `max_horizon`, until both
-    enclosures are at most CI_CERT_TOL wide; `certified` records whether
-    they got there.  Given counts are left as they are: the doubling extends
-    a copy.  Estimates are compared as exact rationals s*den >= num*tau,
-    ties included in the observed-or-larger event.
+    Endpoints solve P_p(p_hat >= p_obs) = beta/2 (lower) and P_p(p_hat <=
+    p_obs) = beta/2 (upper) by bisection over the stops up to a horizon H,
+    which starts at max(tau, 1000) and doubles, up to `max_horizon`, while
+    the exact rational p_obs = s/tau lies in the hull `interim_edges(table,
+    H)` of every later stop's estimate.  Once p_obs is strictly outside it,
+    each later stop is in one tail alone, which gets the whole residual
+    1 - (mass of the stops up to H): both tails are exact.  At p = alpha,
+    where P(tau = inf) > 0, the mass that never stops goes with the
+    residual's side, so the tail stays a continuous polynomial in p.  The
+    answer holds up to the hull's limit N (about 8.6e8 steps at k = 1000;
+    see `runner._cap`).  Where the hull proves nothing (at the cap, or its
+    unproven fallback (0, 1)-(1, 1)), the residual's two allocations over
+    every record of the counts enclose each endpoint, the outer edges are
+    returned, and `certified` says whether both enclosures are at most
+    CI_CERT_TOL wide.  Counts short of H are left as they are; `horizon` is
+    that of the counts read.
     """
     if not (0.0 < beta < 1.0):
         raise ValueError(f"beta must be in (0, 1), got {beta}")
     if observed.status != STOPPED:
         raise ValueError("confidence_interval needs a stopped run; see the running variant")
-    est = (observed.s, observed.n)
-    cts = counts if counts is not None else StoppingCounts(table, CI_HORIZON)
+    est = (s, tau) = (observed.s, observed.n)
+    h = min(max(tau, 1000), max_horizon)
     while True:
-        low_enc, high_enc = _endpoints(cts, est, est, beta / 2.0)
-        certified = max(low_enc[1] - low_enc[0], high_enc[1] - high_enc[0]) <= CI_CERT_TOL
-        if certified or cts.horizon >= max_horizon:
+        edges = (lo_num, lo_den), (hi_num, hi_den) = interim_edges(table, h)
+        # the tails, p_hat >= p_obs and p_hat <= p_obs, that hold every stop after h
+        owner = (s * lo_den < lo_num * tau, s * hi_den > hi_num * tau)
+        if any(owner) or edges == ((0, 1), (1, 1)) or h >= max_horizon:
             break
-        if cts is counts:
-            # extend rebinds the arrays and lattice it holds, never writes into them
-            cts = copy.copy(counts)
-        cts.extend(min(2 * cts.horizon, max_horizon))
-    return ConfidenceInterval(p_low=low_enc[0], p_high=high_enc[1], beta=beta, p_obs_num=est[0],
-                              p_obs_den=est[1], horizon=cts.horizon, certified=certified,
+        h = min(2 * h, max_horizon)
+    shares = [(o,) for o in owner]
+    if not any(owner):  # the hull proves nothing: both allocations, over every given record
+        shares, h = [(False, True)] * 2, max(h, counts.horizon if counts is not None else 0)
+    low_enc, high_enc, horizon = _endpoints(table, counts, h, est, est, beta / 2.0, shares)
+    certified = max(low_enc[1] - low_enc[0], high_enc[1] - high_enc[0]) <= CI_CERT_TOL
+    return ConfidenceInterval(p_low=low_enc[0], p_high=high_enc[1], beta=beta, p_obs_num=s,
+                              p_obs_den=tau, horizon=horizon, certified=certified,
                               enclosure=low_enc + high_enc)
 
 
@@ -552,16 +549,17 @@ def confidence_interval_running(
 ) -> tuple[float, float]:
     """Conservative interval available before stopping.
 
-    Substitutes the edges of the interim interval, the least and the
-    greatest stop estimate still reachable after step n, for the observed
-    estimate in the two tail equations, and returns the outer edges of the
-    endpoint enclosures at the counts' horizon.  Both edges are exact stop
-    estimates, so by inclusion the result contains the interval that
-    `confidence_interval` gives, from the same counts, to every stop still
-    reachable; coverage is at least 1 - beta.
+    Puts the edges of the interim hull after step n, the least and greatest
+    stop estimate still reachable, for the observed one in the two tail
+    equations.  Every stop after H = max(n, 1000) lies in the hull after H,
+    inside that after n, so the residual after H belongs to both tails (ties
+    included) and each endpoint is exact, as in `confidence_interval`.  So
+    the result contains the interval of every stop still reachable, and its
+    coverage is at least 1 - beta.
     """
     if not (0.0 < beta < 1.0):
         raise ValueError(f"beta must be in (0, 1), got {beta}")
-    cts = counts if counts is not None else StoppingCounts(table, CI_HORIZON)
-    low_enc, high_enc = _endpoints(cts, *interim_edges(table, n), beta / 2.0)
+    h = max(n, 1000)
+    low_enc, high_enc, _ = _endpoints(table, counts, h, *interim_edges(table, n), beta / 2.0,
+                                      [(True,)] * 2)
     return (low_enc[0], high_enc[1])

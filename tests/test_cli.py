@@ -111,16 +111,18 @@ def test_run_with_ci():
 
 
 def test_run_with_uncertified_ci_warns(monkeypatch):
-    # small counts and cap leave the interval uncertified: it is still
-    # reported, with one warning on stderr, and the exit code is the run's
-    from seqpval import cli
-    from seqpval.inference import StoppingCounts
+    # where the interim hull proves nothing (past its limit N) the interval
+    # falls back to enclosures over the counts it has; at 4000 steps they are
+    # wide, so the interval is reported uncertified, with one warning on
+    # stderr, and the exit code is the run's
+    from seqpval import cli, inference
 
     real = cli.confidence_interval
 
     def capped(table, res, beta):
-        return real(table, res, beta, counts=StoppingCounts(table, 2000), max_horizon=4000)
+        return real(table, res, beta, counts=inference.StoppingCounts(table, 4000))
 
+    monkeypatch.setattr(inference, "interim_edges", lambda table, n: ((0, 1), (1, 1)))
     monkeypatch.setattr(cli, "confidence_interval", capped)
     code, out, err = invoke(["run", "--simulate-p", "0.03", "--seed", "3", "--ci", "0.1",
                              "--report-seconds", "1e9"])

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from seqpval import inference
 from seqpval.boundary import BoundaryTable
 from seqpval.inference import (
     _BLOCK,
@@ -325,7 +326,7 @@ def test_counts_masses_equal_array_formula(default_table, counts):
 
 
 def test_counts_copy_extended_leaves_the_original(default_table):
-    # confidence_interval extends a copy of the counts it was given
+    # extend rebinds the arrays and lattice it holds, never writes into them
     given = StoppingCounts(default_table, 20_000)
     ps = DENSE_PS[::20]
     before = [given.masses(p) for p in ps]
@@ -349,6 +350,15 @@ def test_exp_is_zero_at_and_below_the_cut():
         mixed = np.resize(below, size)
         assert not np.exp(mixed).any(), size
     assert not np.exp(np.linspace(_CUT, -800.0, 100_001)).any()
+
+
+def test_counts_masses_of_a_prefix(default_table, counts):
+    # masses(p, size) is the first size entries of masses(p), bit for bit, in
+    # the skipping form and in the array form at p = 0 and 1 alike
+    ps = np.concatenate([DENSE_PS[::50], [5e-324, 0.05, 0.0, 1.0]])
+    for size in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 5_000, counts.tau.size):
+        for p in ps:
+            assert np.array_equal(counts.masses(p, size), counts.masses(p)[:size]), (size, p)
 
 
 def test_counts_reject_horizon_below_one(default_table):
@@ -490,6 +500,46 @@ def test_ci_endpoints_pinned(default_table, counts, p, seed, tau, s, edges):
 def test_running_ci_pinned(default_table, counts):
     assert confidence_interval_running(default_table, 50, 0.1, counts=counts) == (
         0.0, 0.3287644386291504)
+
+
+def test_ci_near_alpha_pinned(default_table):
+    # the run of BernoulliSampler(0.06, seed=2) stops 0.0092 from alpha; the
+    # hull after 21,310 steps excludes its estimate, so the interval is exact
+    # from counts to twice tau
+    res = RunResult(STOPPED, 10655, 631, "upper")
+    ci = confidence_interval(default_table, res, beta=0.1)
+    low, high = 0.05457162857055664, 0.06247091293334961
+    assert (ci.p_low, ci.p_high) == (low, high)
+    assert ci.certified and ci.enclosure == (low, low, high, high)
+    assert ci.horizon <= 2 * res.n
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.01])
+def test_ci_inside_the_fallback_enclosures(default_table, counts, monkeypatch, beta):
+    # with the hull unproven, the interval encloses each endpoint by the
+    # residual's two allocations over every record of the counts; the exact
+    # endpoints from the hull lie inside those enclosures
+    results = []
+    for p in (0.01, 0.02, 0.035, 0.1, 0.2):
+        for seed in range(3):
+            res = run(default_table, BernoulliSampler(p, seed=seed), max_steps=200_000)
+            assert res.status == STOPPED
+            ci = confidence_interval(default_table, res, beta, counts=counts)
+            assert ci.certified and ci.enclosure == (ci.p_low,) * 2 + (ci.p_high,) * 2
+            results.append((res, ci))
+    monkeypatch.setattr(inference, "interim_edges", lambda table, n: ((0, 1), (1, 1)))
+    for res, ci in results:
+        fallback = confidence_interval(default_table, res, beta, counts=counts)
+        assert fallback.horizon == 200_000
+        low_lo, low_hi, high_lo, high_hi = fallback.enclosure
+        assert low_lo <= ci.p_low <= low_hi and high_lo <= ci.p_high <= high_hi, (res, ci)
+
+
+@pytest.mark.parametrize("n", [50, 1_000, 2_801, 10_000])
+def test_running_ci_from_own_counts_equals_given_counts(default_table, counts, n):
+    # the running interval reads the records up to max(n, 1000) only
+    assert confidence_interval_running(default_table, n, 0.1) == confidence_interval_running(
+        default_table, n, 0.1, counts=counts)
 
 
 def test_running_ci_contains_stopped_ci(default_table, counts):

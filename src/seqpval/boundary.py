@@ -107,20 +107,6 @@ class BoundaryTable:
         self._check_range(n)
         return self._lower[1 : n + 1]
 
-    @property
-    def alive_mass(self) -> np.ndarray:
-        """P_alpha(tau > n_max, S_{n_max} = j) for j starting at alive_offset."""
-        with self._lock:  # an extension steps the cells in place
-            return self._lattice.alive.copy()
-
-    @property
-    def alive_offset(self) -> int:
-        with self._lock:
-            return self._lattice.offset
-
-    def delta(self, n: int) -> float:
-        return self.spending.delta(n)
-
     def _check_range(self, n: int):
         if not (1 <= n <= self.n_max):
             raise BoundaryError(f"step {n} outside computed range 1..{self.n_max}")
@@ -321,14 +307,6 @@ class BoundaryTable:
         buf = io.StringIO()
         self.save(buf)
         return buf.getvalue()
-
-
-def compute_table(
-    alpha: float, epsilon: float, k: int = 1000, n: int = 1, spending: SpendingSequence | None = None
-) -> BoundaryTable:
-    """Convenience constructor: build and extend a table in one call."""
-    seq = spending if spending is not None else SpendingSequence.default(epsilon, k)
-    return BoundaryTable(alpha, seq).extend(n)
 
 
 def exact_boundaries(

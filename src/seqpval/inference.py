@@ -31,8 +31,6 @@ SIDE_LOWER = -1
 RISK_RESIDUAL = 1e-8  # a risk bracket is certified when its residual is at most this
 CI_TOL = 1e-6  # bisection tolerance of confidence-interval endpoints
 CI_CERT_TOL = 1e-4  # an interval is certified when both enclosures are at most this wide
-_BLOCK = 1024  # records per block of the log-mass bounds of StoppingCounts
-_CUT = -746.0  # exp is 0.0 at and below this log mass: ln(2^-1075) = -745.13
 
 
 # -- forward lattice sweep -------------------------------------------------
@@ -326,9 +324,6 @@ class StoppingCounts:
         self.table = table
         self._lattice = _initial_state(table.alpha)
         self.tau, self.s, self.side, self.log_count = (np.empty(0, d) for d in _STOP_DTYPES)
-        # _bounds[side, :, b]: max log_count, min s and min tau - s over the
-        # upper (side 0) or lower (1) records of block b (-inf, inf if none)
-        self._s_f, self._f_f, self._bounds = np.empty(0), np.empty(0), np.empty((2, 3, 0))
         self.horizon = 0
         self.extend(horizon)
 
@@ -348,49 +343,27 @@ class StoppingCounts:
         self.s = np.concatenate([self.s, s])
         self.side = np.concatenate([self.side, side])
         self.log_count = np.concatenate([self.log_count, log_count])
-        self._s_f = self.s.astype(float)
-        self._f_f = (self.tau - self.s).astype(float)
-        at = np.arange(0, self.tau.size, _BLOCK)
-        self._bounds = np.array([
-            [np.maximum.reduceat(np.where(on, self.log_count, -np.inf), at),
-             np.minimum.reduceat(np.where(on, self._s_f, np.inf), at),
-             np.minimum.reduceat(np.where(on, self._f_f, np.inf), at)]
-            for on in (self.side == SIDE_UPPER, self.side == SIDE_LOWER)])
         self.horizon = horizon
         return self
 
     def masses(self, p: float, size: int | None = None) -> np.ndarray:
-        """Stopped-outcome probabilities under p of the first `size` records (all if None).
-
-        For 0 < p < 1 the log masses log_count + s log(p) + (tau - s) log1p(-p)
-        are computed only in blocks where a side's bound, max log_count + min s
-        log(p) + min (tau - s) log1p(-p), exceeds _CUT; the rest stay 0.0.
-        That is exact: both logs are <= 0 and rounding is monotone, so each log
-        mass in a skipped block is at most its bound, so at most _CUT, where exp
-        is 0.0.  Log masses at most _CUT become -inf (exp is slow on underflow).
-        """
+        """Stopped-outcome probabilities under p of the first `size` records (all if None):
+        exp(log_count + s log(p) + (tau - s) log1p(-p)), with 0 log(0) = 0."""
         if not (0.0 <= p <= 1.0):
             raise ValueError(f"p must be in [0, 1], got {p}")
         from scipy.special import xlog1py, xlogy  # slow to import; import on first use
 
-        lc, s_f, f_f = self.log_count[:size], self._s_f[:size], self._f_f[:size]
+        s = self.s[:size]
+        f = self.tau[:size] - s  # |s|, tau < 2^53: int64 * float is the float copy's product
         if 0.0 < p < 1.0:
             # xlogy(s, p) is s * log(p) for finite log(p): the same products
             # in the same order as the array form, from two scalar logs
-            lp, lq, b = xlogy(1.0, p), xlog1py(1.0, -p), self._bounds[..., : -(-lc.size // _BLOCK)]
-            w = np.zeros(lc.size)
-            live = ((b[:, 0] + b[:, 1] * lp + b[:, 2] * lq) > _CUT).any(axis=0)
-            runs = np.flatnonzero(np.diff(live, prepend=False, append=False)) * _BLOCK
-            for a, z in runs.reshape(-1, 2):  # a run of live blocks
-                o = w[a:z]
-                np.add(lc[a:z], np.multiply(s_f[a:z], lp, out=o), out=o)
-                o += f_f[a:z] * lq
-                o[o <= _CUT] = -np.inf
-                np.exp(o, out=o)
-            return w
+            w = self.log_count[:size] + s * xlogy(1.0, p)
+            w += f * xlog1py(1.0, -p)
+            return np.exp(w, out=w)
         # 0 * log(0) must be 0 here, which only the array form gives
-        logw = lc + xlogy(s_f, p) + xlog1py(f_f, -p)
-        return np.exp(logw, out=logw)
+        w = self.log_count[:size] + xlogy(s, p) + xlog1py(f, -p)
+        return np.exp(w, out=w)
 
     def estimate_ge_mask(self, num: int, den: int, size: int | None = None) -> np.ndarray:
         """Mask of the first `size` outcomes (all if None) with s/tau >= num/den, exactly."""
@@ -469,7 +442,10 @@ def _endpoints(table: BoundaryTable, counts: StoppingCounts | None, horizon: int
     solved with each share of the residual in `shares[i]`: one where the hull
     places the residual, both (0, 1), which enclose the root, where it does
     not.  An estimate num = 0 has lower endpoint 0, and num = den upper 1.
+    Counts stop at a custom spending table's end, where the run does too.
     """
+    if table.spending.k is None:
+        horizon = min(horizon, table.spending.table.size)
     if counts is None or counts.horizon < horizon:
         counts = StoppingCounts(table, horizon)
     size = int(np.searchsorted(counts.tau, horizon, side="right"))  # records are in step order
@@ -511,12 +487,12 @@ def confidence_interval(
     where P(tau = inf) > 0, the mass that never stops goes with the
     residual's side, so the tail stays a continuous polynomial in p.  The
     answer holds up to the hull's limit N (about 8.6e8 steps at k = 1000;
-    see `runner._cap`).  Where the hull proves nothing (at the cap, or its
-    unproven fallback (0, 1)-(1, 1)), the residual's two allocations over
-    every record of the counts enclose each endpoint, the outer edges are
-    returned, and `certified` says whether both enclosures are at most
-    CI_CERT_TOL wide.  Counts short of H are left as they are; `horizon` is
-    that of the counts read.
+    see `runner._cap`).  Where the hull proves nothing (at the cap, at a
+    custom table's end, or its unproven fallback (0, 1)-(1, 1)), the
+    residual's two allocations over every record of the counts enclose each
+    endpoint, the outer edges are returned, and `certified` says whether
+    both enclosures are at most CI_CERT_TOL wide.  Counts short of H are
+    left as they are; `horizon` is that of the counts read.
     """
     if not (0.0 < beta < 1.0):
         raise ValueError(f"beta must be in (0, 1), got {beta}")
@@ -553,9 +529,9 @@ def confidence_interval_running(
     stop estimate still reachable, for the observed one in the two tail
     equations.  Every stop after H = max(n, 1000) lies in the hull after H,
     inside that after n, so the residual after H belongs to both tails (ties
-    included) and each endpoint is exact, as in `confidence_interval`.  So
-    the result contains the interval of every stop still reachable, and its
-    coverage is at least 1 - beta.
+    included; past a custom table's end nothing stops) and each endpoint is
+    exact, as in `confidence_interval`.  So the result contains the interval
+    of every stop still reachable, and its coverage is at least 1 - beta.
     """
     if not (0.0 < beta < 1.0):
         raise ValueError(f"beta must be in (0, 1), got {beta}")

@@ -14,7 +14,7 @@ import pytest
 
 import seqpval as sp
 from seqpval.applications import EngineConfig, bootstrap_pvalue, double_bootstrap, example_table
-from seqpval.boundary import compute_table, exact_boundaries
+from seqpval.boundary import BoundaryTable, exact_boundaries
 from seqpval.inference import (
     SIDE_LOWER,
     SIDE_UPPER,
@@ -27,6 +27,7 @@ from seqpval.inference import (
     wald_lower_bound,
 )
 from seqpval.runner import RunResult, STOPPED, BernoulliSampler, interim_interval, run
+from seqpval.spending import SpendingSequence
 
 
 def report(num: int, tag: str, ok: bool, detail: str = ""):
@@ -40,7 +41,7 @@ def test_criterion_1_boundary_oracle_equivalence():
     ok = True
     for alpha in (0.05, 0.1):
         for eps in (1e-3, 1e-2):
-            table = compute_table(alpha, eps, k=1000, n=20)
+            table = BoundaryTable(alpha, SpendingSequence.default(eps, 1000)).extend(20)
             up, lo = exact_boundaries(alpha, eps, k=1000, n_max=20)
             ok &= [table.upper(n) for n in range(1, 21)] == up
             ok &= [table.lower(n) for n in range(1, 21)] == lo
@@ -61,7 +62,7 @@ def test_criterion_2_budget_invariants(default_table):
         u, lo = default_table.upper(n), default_table.lower(n)
         ok &= u > n * 0.05 > lo
         if n >= 2:
-            ok &= u <= math.ceil(n * 0.05 + default_table.delta(n))
+            ok &= u <= math.ceil(n * 0.05 + default_table.spending.delta(n))
     report(2, "budget + ordering + Hoeffding caps to n=2e4", ok, f"max overshoot {worst:.2e}")
 
 

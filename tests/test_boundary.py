@@ -10,7 +10,6 @@ from seqpval.boundary import (
     BoundaryError,
     BoundaryTable,
     DegenerateBoundaryError,
-    compute_table,
     conservation_tolerance,
     exact_boundaries,
 )
@@ -28,7 +27,7 @@ def test_seed_row(default_table):
 def test_matches_exact_rational_oracle(alpha, epsilon):
     # past the first lower absorption (n = 70 to 173 here), so L_n and the
     # lower hit mass are checked too
-    table = compute_table(alpha, epsilon, k=1000, n=400)
+    table = BoundaryTable(alpha, SpendingSequence.default(epsilon, 1000)).extend(400)
     up, lo = exact_boundaries(alpha, epsilon, k=1000, n_max=400)
     assert max(lo) >= 0
     for n in range(1, 401):
@@ -74,7 +73,7 @@ def test_hoeffding_caps(default_table):
     default_table.extend(5000)
     alpha = default_table.alpha
     for n in range(2, 5001):
-        d = default_table.delta(n)
+        d = default_table.spending.delta(n)
         assert default_table.upper(n) <= math.ceil(n * alpha + d)
         assert default_table.lower(n) >= n * alpha - d - 1
 
@@ -126,7 +125,7 @@ def test_chernoff_caps(default_table):
         assert default_table.upper(n) <= n * q_hi + 1
         assert default_table.lower(n) >= n * q_lo - 1
         # never looser than the Hoeffding half-width (Pinsker)
-        d = default_table.delta(n)
+        d = default_table.spending.delta(n)
         assert q_hi <= alpha + d / n + 1e-12
         assert q_lo >= alpha - d / n - 1e-12
 
@@ -148,8 +147,8 @@ def test_mass_conservation(default_table):
 
 
 def test_extension_is_incremental():
-    whole = compute_table(0.05, 1e-3, n=400)
-    pieces = compute_table(0.05, 1e-3, n=100)
+    whole = BoundaryTable(0.05, SpendingSequence.default(1e-3)).extend(400)
+    pieces = BoundaryTable(0.05, SpendingSequence.default(1e-3)).extend(100)
     pieces.extend(250).extend(400)
     assert np.array_equal(whole.upper_array(400), pieces.upper_array(400))
     assert np.array_equal(whole.lower_array(400), pieces.lower_array(400))
@@ -157,7 +156,7 @@ def test_extension_is_incremental():
 
 
 def test_out_of_range_access():
-    table = compute_table(0.05, 1e-3, n=10)
+    table = BoundaryTable(0.05, SpendingSequence.default(1e-3)).extend(10)
     with pytest.raises(BoundaryError):
         table.upper(11)
     with pytest.raises(BoundaryError):
@@ -171,7 +170,7 @@ def test_corridor_never_collapses_at_max_budget():
     seq = SpendingSequence.custom(0.25, [0.249] * 2000)
     table = BoundaryTable(0.5, seq).extend(2000)
     assert table.upper(2000) > table.lower(2000)
-    assert table.alive_mass.sum() >= 1.0 - 2 * 0.25
+    assert table._lattice.alive.sum() >= 1.0 - 2 * 0.25
 
 
 def test_degenerate_error_carries_step():
@@ -181,7 +180,7 @@ def test_degenerate_error_carries_step():
 
 
 def test_save_load_round_trip(tmp_path):
-    table = compute_table(0.05, 1e-3, n=500)
+    table = BoundaryTable(0.05, SpendingSequence.default(1e-3)).extend(500)
     path = tmp_path / "bnd.csv"
     table.save(path)
     back = BoundaryTable.load(path)
@@ -233,8 +232,8 @@ def test_save_while_the_table_grows(tmp_path, monkeypatch):
     for n in range(1, 3001):
         assert back.hit_upper_cum(n) == fresh.hit_upper_cum(n), n
         assert back.hit_lower_cum(n) == fresh.hit_lower_cum(n), n
-    assert back.alive_offset == fresh.alive_offset
-    assert np.array_equal(back.alive_mass, fresh.alive_mass)
+    assert back._lattice.offset == fresh._lattice.offset
+    assert np.array_equal(back._lattice.alive, fresh._lattice.alive)
     back.check_conservation()
 
 
@@ -246,13 +245,13 @@ def test_load_from_a_stream_extends_like_a_fresh_table():
     for t in (back, fresh):
         t.extend(2500)
     assert back.to_csv_string() == fresh.to_csv_string()
-    assert back.alive_offset == fresh.alive_offset
-    assert np.array_equal(back.alive_mass, fresh.alive_mass)
+    assert back._lattice.offset == fresh._lattice.offset
+    assert np.array_equal(back._lattice.alive, fresh._lattice.alive)
 
 
 @pytest.mark.parametrize("column", [0, 1, 2, 3, 4, 5])
 def test_load_refuses_a_changed_cell(tmp_path, column):
-    table = compute_table(0.05, 1e-3, n=600)
+    table = BoundaryTable(0.05, SpendingSequence.default(1e-3)).extend(600)
     lines = table.to_csv_string().splitlines()
     cells = lines[502].split(",")  # the row of step 501
     assert cells[0] == "501"
@@ -288,12 +287,12 @@ def test_custom_table_round_trips_and_extends_to_its_end(tmp_path):
         t.extend(3_000)
     assert back.to_csv_string() == again.to_csv_string() == table.to_csv_string()
     for t in (back, again):
-        assert t.alive_offset == table.alive_offset
-        assert np.array_equal(t.alive_mass, table.alive_mass)
+        assert t._lattice.offset == table._lattice.offset
+        assert np.array_equal(t._lattice.alive, table._lattice.alive)
 
 
 def test_load_rejects_spending_mismatch(tmp_path):
-    table = compute_table(0.05, 1e-3, n=20)
+    table = BoundaryTable(0.05, SpendingSequence.default(1e-3)).extend(20)
     path = tmp_path / "bnd.csv"
     table.save(path)
     with pytest.raises(BoundaryError):
@@ -306,7 +305,7 @@ def test_load_rejects_garbage():
 
 
 def test_csv_header_carries_parameters():
-    table = compute_table(0.1, 1e-2, k=77, n=5)
+    table = BoundaryTable(0.1, SpendingSequence.default(1e-2, 77)).extend(5)
     text = table.to_csv_string()
     first = text.splitlines()[0]
     assert first.startswith("# seqpval-boundaries ")

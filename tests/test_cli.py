@@ -5,8 +5,9 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from seqpval.boundary import BoundaryTable, compute_table
+from seqpval.boundary import BoundaryTable
 from seqpval.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_TRUNCATED, main
+from seqpval.spending import SpendingSequence
 
 
 def invoke(argv, stdin_text=None):
@@ -27,7 +28,7 @@ def invoke(argv, stdin_text=None):
 def test_boundaries_match_library():
     code, out, _ = invoke(["boundaries", "--n", "50"])
     assert code == EXIT_OK
-    table = compute_table(0.05, 1e-3, n=50)
+    table = BoundaryTable(0.05, SpendingSequence.default(1e-3)).extend(50)
     lines = out.splitlines()
     assert lines[1] == "n,lower,upper,eps_n,hit_lower_cum,hit_upper_cum"
     row1 = lines[2].split(",")
@@ -62,7 +63,7 @@ def test_run_byte_determinism():
 
 def test_run_stdin_all_zeros():
     # enough zeros to reach the first lower stop
-    table = compute_table(0.05, 1e-3, n=3000)
+    table = BoundaryTable(0.05, SpendingSequence.default(1e-3)).extend(3000)
     n_lo = next(n for n in range(1, 3001) if table.lower(n) >= 0)
     code, out, _ = invoke(["run"], stdin_text="0\n" * (n_lo + 5))
     assert code == EXIT_OK
@@ -260,6 +261,20 @@ def test_boundary_file_round_trip(tmp_path):
     assert json.loads(out)["side"] == "upper"
 
 
+def test_run_ci_on_a_custom_table_shorter_than_1000_steps(tmp_path):
+    # the interval's horizon stops at the table's end instead of asking for
+    # step 1000 of a 500-entry spending table
+    path = tmp_path / "short.csv"
+    seq = SpendingSequence.custom(1e-3, SpendingSequence.default(1e-3).values(500))
+    BoundaryTable(0.05, seq).extend(500).save(path)
+    code, out, err = invoke(["run", "--boundary-file", str(path), "--simulate-p", "0.3",
+                             "--seed", "1", "--ci", "0.1"])
+    assert code == EXIT_OK, err
+    rec = json.loads(out)
+    assert rec["status"] == "stopped"
+    assert rec["ci"]["p_low"] <= rec["p_hat"] <= rec["ci"]["p_high"]
+
+
 def test_demo_bootstrap_fields():
     code, out, _ = invoke(["demo", "bootstrap", "--seed", "11"])
     assert code == EXIT_OK
@@ -321,7 +336,7 @@ BOUNDARY_FILES = {
     "garbage.csv": "p,q\n1,2\n",
     "no-n-max.csv": '# seqpval-boundaries {"format": 1, "alpha": 0.05}\n'
                     "n,lower,upper,eps_n,hit_lower_cum,hit_upper_cum\n",
-    "valid.csv": compute_table(0.05, 1e-3, n=3).to_csv_string(),
+    "valid.csv": BoundaryTable(0.05, SpendingSequence.default(1e-3)).extend(3).to_csv_string(),
 }
 
 

@@ -9,8 +9,6 @@ import pytest
 from seqpval import inference
 from seqpval.boundary import BoundaryTable
 from seqpval.inference import (
-    _BLOCK,
-    _CUT,
     _ETAU_FLOOR,
     ConfidenceInterval,
     SIDE_LOWER,
@@ -310,14 +308,14 @@ def _masses_equal_array_formula(counts, ps=DENSE_PS):
 
 
 def test_counts_masses_equal_array_formula(default_table, counts):
-    # masses skips the blocks whose every mass underflows: the result must be
-    # the array formula's, bit for bit, at every p
+    # masses computes from two scalar logs: the result must be the array
+    # formula's, bit for bit, at every p
     _masses_equal_array_formula(counts)
     resumed = StoppingCounts(default_table, 20_000).extend(30_000)
-    assert resumed.tau.size % _BLOCK != 0
+    assert resumed.tau.size % 1024 != 0
     _masses_equal_array_formula(resumed)
     small = StoppingCounts(default_table, 500)
-    assert 0 < small.tau.size < _BLOCK
+    assert 0 < small.tau.size < 1024
     _masses_equal_array_formula(small)
     n = np.arange(1, 5_001)
     custom = BoundaryTable(0.1, SpendingSequence.custom(1e-2, 1e-2 * (1.0 - np.exp(-n / 300.0))
@@ -338,25 +336,11 @@ def test_counts_copy_extended_leaves_the_original(default_table):
     _masses_equal_array_formula(given, ps)
 
 
-def test_exp_is_zero_at_and_below_the_cut():
-    # the fact masses' skip rests on: np.exp gives exactly 0.0 wherever a log
-    # mass is at most _CUT, in full vectors and in tails alike
-    assert _CUT < -1075 * math.log(2.0)  # ln(2^-1075), half the least subnormal
-    below = np.array([_CUT, np.nextafter(_CUT, -np.inf), -750.0, -1e4, -1e300,
-                      np.finfo(np.float64).min, -np.inf])
-    for size in (*range(1, 40), 1000, 4097):
-        for x in below:
-            assert not np.exp(np.full(size, x)).any(), (size, x)
-        mixed = np.resize(below, size)
-        assert not np.exp(mixed).any(), size
-    assert not np.exp(np.linspace(_CUT, -800.0, 100_001)).any()
-
-
 def test_counts_masses_of_a_prefix(default_table, counts):
     # masses(p, size) is the first size entries of masses(p), bit for bit, in
-    # the skipping form and in the array form at p = 0 and 1 alike
+    # the scalar-log form and in the array form at p = 0 and 1 alike
     ps = np.concatenate([DENSE_PS[::50], [5e-324, 0.05, 0.0, 1.0]])
-    for size in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 5_000, counts.tau.size):
+    for size in (0, 1, 1023, 1024, 1025, 5_000, counts.tau.size):
         for p in ps:
             assert np.array_equal(counts.masses(p, size), counts.masses(p)[:size]), (size, p)
 
@@ -367,7 +351,7 @@ def test_counts_reject_horizon_below_one(default_table):
             StoppingCounts(default_table, h)
     # a horizon with no stop yet still gives a complete, empty law
     one = StoppingCounts(default_table, 1)
-    assert one.tau.size == 0 and one._bounds.shape == (2, 3, 0)
+    assert one.tau.size == 0
     for p in (0.0, 0.03, 1.0):
         assert one.masses(p).size == 0
 
@@ -475,6 +459,46 @@ def test_ci_at_its_cap_is_returned_uncertified(default_table):
                                 counts=StoppingCounts(default_table, 50_000))
     assert exact.certified
     assert capped.p_low < exact.p_low < exact.p_high < capped.p_high
+
+
+def _custom_table(size):
+    n = np.arange(1, size + 1)
+    seq = SpendingSequence.custom(1e-2, 1e-2 * (1.0 - np.exp(-n / 300.0)) * 0.999)
+    return BoundaryTable(0.1, seq).extend(size)
+
+
+def test_ci_on_a_custom_table_stops_at_its_end():
+    # past its end a custom table has no boundaries, so the horizon is capped
+    # there, where the hull proves nothing and the enclosures apply
+    table = _custom_table(5_000)
+    stops = [RunResult(STOPPED, 4989, 625, "upper")]
+    for p in (0.05, 0.08, 0.09, 0.11, 0.12, 0.15):
+        for seed in range(12):
+            res = run(table, BernoulliSampler(p, seed=seed), max_steps=5_000)
+            if res.status == STOPPED:
+                stops.append(res)
+    assert len(stops) > 30
+    for res in stops:
+        ci = confidence_interval(table, res, beta=0.1)
+        assert ci.horizon <= 5_000
+        assert ci.p_low <= res.s / res.n <= ci.p_high, res
+    capped = confidence_interval(table, stops[0], beta=0.1)
+    assert capped.horizon == 5_000 and not capped.certified
+
+
+@pytest.mark.parametrize("size", [300, 999])
+def test_ci_on_a_custom_table_shorter_than_1000_steps(size):
+    table = _custom_table(size)
+    res = run(table, BernoulliSampler(0.3, seed=1), max_steps=size)
+    assert res.status == STOPPED
+    ci = confidence_interval(table, res, beta=0.1)
+    assert ci.horizon == size
+    assert ci.p_low <= res.s / res.n <= ci.p_high
+    for n in (10, res.n, size):
+        low, high = confidence_interval_running(table, n, beta=0.1)
+        assert 0.0 <= low <= high <= 1.0
+    low, high = confidence_interval_running(table, res.n, beta=0.1)
+    assert low <= ci.p_low and ci.p_high <= high
 
 
 # seeded stopped runs (p, seed, tau, S) on the default table and the edges

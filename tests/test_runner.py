@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_boundary import chernoff_rates
 
-from seqpval.boundary import BoundaryTable, compute_table
+from seqpval.boundary import BoundaryTable
 from seqpval.runner import (
     LOWER,
     STOPPED,
@@ -363,7 +363,7 @@ def test_max_steps_below_one_is_rejected(default_table, max_steps):
 
 
 def test_independent_tables_unaffected_by_runs():
-    fresh = compute_table(0.05, 1e-3, n=100)
+    fresh = BoundaryTable(0.05, SpendingSequence.default(1e-3)).extend(100)
     before = fresh.upper_array(100).copy()
     run(fresh, BernoulliSampler(0.05, seed=2), max_steps=50)
     assert np.array_equal(before, fresh.upper_array(100))

@@ -18,7 +18,6 @@ import io
 import json
 import os
 import threading
-from fractions import Fraction
 
 import numpy as np
 
@@ -29,9 +28,6 @@ FORMAT_VERSION = 1
 _HEADER = "# seqpval-boundaries "
 #: the columns of a boundary file
 _COLUMNS = ("n", "lower", "upper", "eps_n", "hit_lower_cum", "hit_upper_cum")
-
-#: Allowed drift of total mass from 1, per 1e4 recursion steps.
-DRIFT_PER_10K = 1e-10
 
 
 class BoundaryError(RuntimeError):
@@ -52,10 +48,6 @@ class DegenerateBoundaryError(BoundaryError):
 #: BoundaryTable's per-step arrays, indexed by n, and their dtypes
 _STEP_ARRAYS = (("_upper", np.int64), ("_lower", np.int64), ("_hit_upper", np.float64),
                 ("_hit_lower", np.float64))
-
-
-def conservation_tolerance(n: int) -> float:
-    return DRIFT_PER_10K * max(1.0, n / 1e4)
 
 
 class BoundaryTable:
@@ -110,19 +102,6 @@ class BoundaryTable:
     def _check_range(self, n: int):
         if not (1 <= n <= self.n_max):
             raise BoundaryError(f"step {n} outside computed range 1..{self.n_max}")
-
-    def mass_conservation_error(self) -> float:
-        with self._lock:  # the alive state and hit sums of one step
-            lat = self._lattice
-            return abs(float(lat.alive.sum()) + float(lat.acc[0]) + float(lat.acc[1]) - 1.0)
-
-    def check_conservation(self):
-        err = self.mass_conservation_error()
-        tol = conservation_tolerance(self.n_max)
-        if err > tol:
-            raise BoundaryError(
-                f"mass conservation violated at n={self.n_max}: drift {err:.3e} > {tol:.3e}"
-            )
 
     # -- extension ---------------------------------------------------------
 
@@ -307,59 +286,3 @@ class BoundaryTable:
         buf = io.StringIO()
         self.save(buf)
         return buf.getvalue()
-
-
-def exact_boundaries(
-    alpha, epsilon, k: int | None = 1000, n_max: int = 20, eps_table=None
-) -> tuple[list[int], list[int]]:
-    """Brute-force boundaries in exact rational arithmetic (test oracle).
-
-    Applies the defining tail-budget minimization literally with
-    ``fractions.Fraction``.  ``limit_denominator`` keeps alpha and epsilon
-    small rationals, so the oracle stays usable well past the first lower
-    absorption: for the default (alpha, epsilon, k) = (0.05, 1e-3, 1000),
-    n_max = 1200 takes about 3 s (Python 3.11 on a 2-vCPU machine), and the
-    cost grows faster than linearly in n_max.
-    Returns (upper, lower) as plain lists indexed so that entry 0 is step 1.
-    """
-    a = alpha if isinstance(alpha, Fraction) else Fraction(alpha).limit_denominator(10**9)
-    e = epsilon if isinstance(epsilon, Fraction) else Fraction(epsilon).limit_denominator(10**9)
-    if eps_table is not None:
-        eps_of = lambda n: eps_table[n - 1]
-    else:
-        eps_of = lambda n: e * n / (k + n)
-    upper, lower = [2], [-1]
-    alive = {0: 1 - a, 1: a}
-    hu = Fraction(0)
-    hl = Fraction(0)
-    for n in range(2, n_max + 1):
-        eps_n = eps_of(n)
-        new: dict[int, Fraction] = {}
-        for j, m in alive.items():
-            new[j] = new.get(j, Fraction(0)) + m * (1 - a)
-            new[j + 1] = new.get(j + 1, Fraction(0)) + m * a
-        js = sorted(new)
-        u_n = js[-1] + 1
-        tail = Fraction(0)
-        for j in reversed(js):
-            if tail + new[j] + hu <= eps_n:
-                tail += new[j]
-                u_n = j
-            else:
-                break
-        l_n = js[0] - 1
-        ltail = Fraction(0)
-        for j in js:
-            if ltail + new[j] + hl <= eps_n:
-                ltail += new[j]
-                l_n = j
-            else:
-                break
-        if u_n <= l_n:
-            raise DegenerateBoundaryError(n)
-        hu += tail
-        hl += ltail
-        alive = {j: m for j, m in new.items() if l_n < j < u_n}
-        upper.append(u_n)
-        lower.append(l_n)
-    return upper, lower

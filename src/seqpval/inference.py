@@ -323,7 +323,8 @@ class StoppingCounts:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
         self.table = table
         self._lattice = _initial_state(table.alpha)
-        self.tau, self.s, self.side, self.log_count = (np.empty(0, d) for d in _STOP_DTYPES)
+        self.tau, self.s = np.empty(0, np.int64), np.empty(0, np.int64)
+        self.log_count = np.empty(0)
         self.horizon = 0
         self.extend(horizon)
 
@@ -335,13 +336,12 @@ class StoppingCounts:
         # sweep a copy: the state moves on only once the records pass the check
         stops = []
         lat = _sweep(self.table, alpha, horizon, self._lattice.copy(), record=stops)
-        tau, s, side, mass = stops
+        tau, s, _, mass = stops
         _check_null_masses(self.table, first, lat.n, tau, mass)
         self._lattice = lat
         log_count = np.log(mass) - s * math.log(alpha) - (tau - s) * math.log1p(-alpha)
         self.tau = np.concatenate([self.tau, tau])
         self.s = np.concatenate([self.s, s])
-        self.side = np.concatenate([self.side, side])
         self.log_count = np.concatenate([self.log_count, log_count])
         self.horizon = horizon
         return self

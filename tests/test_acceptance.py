@@ -14,7 +14,7 @@ import pytest
 
 import seqpval as sp
 from seqpval.applications import EngineConfig, bootstrap_pvalue, double_bootstrap, example_table
-from seqpval.boundary import BoundaryTable, exact_boundaries
+from seqpval.boundary import BoundaryTable
 from seqpval.inference import (
     SIDE_LOWER,
     SIDE_UPPER,
@@ -29,6 +29,8 @@ from seqpval.inference import (
 from seqpval.runner import RunResult, STOPPED, BernoulliSampler, interim_interval, run
 from seqpval.spending import SpendingSequence
 
+from exact_oracle import default_budget, exact_boundaries
+
 
 def report(num: int, tag: str, ok: bool, detail: str = ""):
     status = "PASS" if ok else "FAIL"
@@ -42,9 +44,10 @@ def test_criterion_1_boundary_oracle_equivalence():
     for alpha in (0.05, 0.1):
         for eps in (1e-3, 1e-2):
             table = BoundaryTable(alpha, SpendingSequence.default(eps, 1000)).extend(20)
-            up, lo = exact_boundaries(alpha, eps, k=1000, n_max=20)
-            ok &= [table.upper(n) for n in range(1, 21)] == up
-            ok &= [table.lower(n) for n in range(1, 21)] == lo
+            budget = default_budget(Fraction(str(eps)), 1000)
+            exact = exact_boundaries(Fraction(str(alpha)), budget, 20)
+            ok &= [table.upper(n) for n in range(1, 21)] == exact.upper
+            ok &= [table.lower(n) for n in range(1, 21)] == exact.lower
     report(1, "exact-rational boundary equivalence n<=20", ok)
 
 
@@ -91,7 +94,8 @@ def test_criterion_5_interim_anchor(default_table):
     # lands at (L_{nu-1} + 1)/nu where L rises, an upper stop at no more than
     # U_{nu-1}/nu where U does not rise
     n, n_exact = 1000, 1100
-    up, lo = exact_boundaries(0.05, 1e-3, k=1000, n_max=n_exact)
+    exact = exact_boundaries(Fraction(1, 20), default_budget(Fraction(1, 1000), 1000), n_exact)
+    up, lo = exact.upper, exact.lower
     steps = range(n + 1, n_exact + 1)
     lo_edge = min(Fraction(lo[nu - 2] + 1, nu) for nu in steps if lo[nu - 1] > lo[nu - 2])
     hi_edge = max(Fraction(up[nu - 2], nu) for nu in steps if up[nu - 1] <= up[nu - 2])

@@ -117,9 +117,6 @@ class Lattice:
         if acc:
             self.acc[:] = acc
 
-    def copy(self) -> "Lattice":
-        return Lattice(self.alive, self.n, self.offset, self.acc)
-
     def call(self, fn, *args) -> int:
         """Run the kernel function fn(buf, cap, st, acc, *args) on the cells,
         growing the buffer each time it returns ROOM; returns its other

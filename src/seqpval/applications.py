@@ -12,7 +12,6 @@ from their results, so that total-cost comparisons are exact, and as
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -393,9 +392,6 @@ class BootstrapReport:
         if self.interim is not None:
             out["interim"] = {"p_min": self.interim[0], "p_max": self.interim[1]}
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 # -- the bootstrap workflows ------------------------------------------------

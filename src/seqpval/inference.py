@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -313,38 +314,40 @@ class StoppingCounts:
     stopped law under every p is determined by the (p-free) number of lattice
     paths to each stop, which lets G(p)-type quantities needed by the
     confidence-interval root finder be evaluated in one vectorized pass.  The
-    counts come from the null sweep, which `extend` resumes: a stop's null
+    counts come from one null sweep from step 1 to the horizon: a stop's null
     mass m = N alpha^j (1-alpha)^(n-j) gives log N.  Where a stop's null mass
     underflows its count is lost, and `extend` raises FloatingPointError.
+    `extend` sweeps again from step 1 under the counts' lock and publishes
+    ``horizon`` last, so threads may share one object.
     """
 
     def __init__(self, table: BoundaryTable, horizon: int):
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
         self.table = table
-        self._lattice = _initial_state(table.alpha)
-        self.tau, self.s = np.empty(0, np.int64), np.empty(0, np.int64)
-        self.log_count = np.empty(0)
         self.horizon = 0
+        self._lock = threading.Lock()
         self.extend(horizon)
 
     def extend(self, horizon: int) -> "StoppingCounts":
-        if horizon <= self.horizon:
-            return self
-        alpha = self.table.alpha
-        first = self._lattice.n
-        # sweep a copy: the state moves on only once the records pass the check
-        stops = []
-        lat = _sweep(self.table, alpha, horizon, self._lattice.copy(), record=stops)
-        tau, s, _, mass = stops
-        _check_null_masses(self.table, first, lat.n, tau, mass)
-        self._lattice = lat
-        log_count = np.log(mass) - s * math.log(alpha) - (tau - s) * math.log1p(-alpha)
-        self.tau = np.concatenate([self.tau, tau])
-        self.s = np.concatenate([self.s, s])
-        self.log_count = np.concatenate([self.log_count, log_count])
-        self.horizon = horizon
+        with self._lock:
+            if horizon <= self.horizon:
+                return self
+            alpha = self.table.alpha
+            stops = []
+            lat = _sweep(self.table, alpha, horizon, record=stops)
+            tau, s, _, mass = stops
+            _check_null_masses(self.table, lat.n, tau, mass)
+            self.log_count = np.log(mass) - s * math.log(alpha) - (tau - s) * math.log1p(-alpha)
+            self.tau, self.s = tau, s
+            self.horizon = horizon
         return self
+
+    def _prefix(self, size: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """s, tau and log_count of the first `size` records (all if None), of one
+        length while `extend` runs: it publishes s after tau and log_count."""
+        s = self.s[:size]
+        return s, self.tau[: s.size], self.log_count[: s.size]
 
     def masses(self, p: float, size: int | None = None) -> np.ndarray:
         """Stopped-outcome probabilities under p of the first `size` records (all if None):
@@ -353,34 +356,35 @@ class StoppingCounts:
             raise ValueError(f"p must be in [0, 1], got {p}")
         from scipy.special import xlog1py, xlogy  # slow to import; import on first use
 
-        s = self.s[:size]
-        f = self.tau[:size] - s  # |s|, tau < 2^53: int64 * float is the float copy's product
+        s, tau, log_count = self._prefix(size)
+        f = tau - s  # |s|, tau < 2^53: int64 * float is the float copy's product
         if 0.0 < p < 1.0:
             # xlogy(s, p) is s * log(p) for finite log(p): the same products
             # in the same order as the array form, from two scalar logs
-            w = self.log_count[:size] + s * xlogy(1.0, p)
+            w = log_count + s * xlogy(1.0, p)
             w += f * xlog1py(1.0, -p)
             return np.exp(w, out=w)
         # 0 * log(0) must be 0 here, which only the array form gives
-        w = self.log_count[:size] + xlogy(s, p) + xlog1py(f, -p)
+        w = log_count + xlogy(s, p) + xlog1py(f, -p)
         return np.exp(w, out=w)
 
     def estimate_ge_mask(self, num: int, den: int, size: int | None = None) -> np.ndarray:
         """Mask of the first `size` outcomes (all if None) with s/tau >= num/den, exactly."""
-        return (self.s[:size] * den >= self.tau[:size] * num).astype(float)
+        s, tau, _ = self._prefix(size)
+        return (s * den >= tau * num).astype(float)
 
     def estimate_le_mask(self, num: int, den: int, size: int | None = None) -> np.ndarray:
-        return (self.s[:size] * den <= self.tau[:size] * num).astype(float)
+        s, tau, _ = self._prefix(size)
+        return (s * den <= tau * num).astype(float)
 
 
-def _check_null_masses(table, first, last, tau, mass):
-    """Raise unless the null sweep of steps first+1..last recorded every stop
-    cell (at step n: U_n..U_{n-1} and L_{n-1}+1..L_n) with a normal mass."""
-    upper = table.upper_array(last)[first - 1 :]  # U_first .. U_last
-    lower = table.lower_array(last)[first - 1 :]
+def _check_null_masses(table, last, tau, mass):
+    """Raise unless the null sweep of steps 2..last recorded every stop cell
+    (at step n: U_n..U_{n-1} and L_{n-1}+1..L_n) with a normal mass."""
+    upper, lower = table.upper_array(last), table.lower_array(last)  # U_1 .. U_last
     cells = np.maximum(upper[:-1] - upper[1:] + 1, 0) + np.maximum(lower[1:] - lower[:-1], 0)
-    recorded = np.bincount(tau - (first + 1), minlength=last - first)
-    bad = np.concatenate([first + 1 + np.flatnonzero(recorded != cells),
+    recorded = np.bincount(tau - 2, minlength=last - 1)
+    bad = np.concatenate([2 + np.flatnonzero(recorded != cells),
                           tau[mass < np.finfo(np.float64).tiny]])
     if bad.size:
         raise FloatingPointError(

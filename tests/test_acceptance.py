@@ -30,6 +30,7 @@ from seqpval.runner import RunResult, STOPPED, BernoulliSampler, interim_interva
 from seqpval.spending import SpendingSequence
 
 from exact_oracle import default_budget, exact_boundaries
+from test_boundary import hoeffding_delta
 
 
 def report(num: int, tag: str, ok: bool, detail: str = ""):
@@ -65,7 +66,7 @@ def test_criterion_2_budget_invariants(default_table):
         u, lo = default_table.upper(n), default_table.lower(n)
         ok &= u > n * 0.05 > lo
         if n >= 2:
-            ok &= u <= math.ceil(n * 0.05 + default_table.spending.delta(n))
+            ok &= u <= math.ceil(n * 0.05 + hoeffding_delta(default_table.spending, n))
     report(2, "budget + ordering + Hoeffding caps to n=2e4", ok, f"max overshoot {worst:.2e}")
 
 

@@ -93,11 +93,28 @@ def test_budget_and_ordering_invariants(default_table):
         assert default_table.upper(n) > n * 0.05 > default_table.lower(n)
 
 
+def spent(seq, n):
+    """eps_n - eps_{n-1}, the budget step n >= 2 may spend."""
+    prev, cur = seq.values(n, start=n - 1)
+    return cur - prev
+
+
+def hoeffding_delta(seq, n):
+    """Hoeffding half-width sqrt(-n log(eps_n - eps_{n-1}) / 2) at n >= 2, +inf
+    when no budget is spent at n.
+
+    Step n may spend at least the increment, so by Hoeffding's inequality
+    U_n <= ceil(n alpha + delta_n) and L_n >= n alpha - delta_n - 1.
+    """
+    inc = spent(seq, n)
+    return math.sqrt(-n * math.log(inc) / 2.0) if inc > 0.0 else math.inf
+
+
 def test_hoeffding_caps(default_table):
     default_table.extend(5000)
     alpha = default_table.alpha
     for n in range(2, 5001):
-        d = default_table.spending.delta(n)
+        d = hoeffding_delta(default_table.spending, n)
         assert default_table.upper(n) <= math.ceil(n * alpha + d)
         assert default_table.lower(n) >= n * alpha - d - 1
 
@@ -120,7 +137,7 @@ def chernoff_rates(table, n):
 
     The envelope at n is [q_lo - 1/n, q_hi + 1/n] (see ``test_chernoff_caps``).
     """
-    inc = table.spending.increment(n)
+    inc = spent(table.spending, n)
     if inc <= 0.0:
         return (0.0, 1.0)
     c = -math.log(inc) / n
@@ -149,7 +166,7 @@ def test_chernoff_caps(default_table):
         assert default_table.upper(n) <= n * q_hi + 1
         assert default_table.lower(n) >= n * q_lo - 1
         # never looser than the Hoeffding half-width (Pinsker)
-        d = default_table.spending.delta(n)
+        d = hoeffding_delta(default_table.spending, n)
         assert q_hi <= alpha + d / n + 1e-12
         assert q_lo >= alpha - d / n - 1e-12
 

@@ -2,6 +2,7 @@ import copy
 import math
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -133,6 +134,15 @@ def test_import_leaves_scipy_stats_unloaded():
             "seqpval.chisq_pvalue(3.0, 2); assert 'scipy.special' in sys.modules; "
             "seqpval.naive_risk(0.3, 999, 0.05); assert 'scipy.stats' in sys.modules")
     subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
+
+
+def test_every_exported_name_resolves():
+    # `from seqpval import *` raises on a name in __all__ the package lacks
+    import seqpval
+
+    namespace = {}
+    exec("from seqpval import *", namespace)
+    assert sorted(set(seqpval.__all__)) == sorted(namespace.keys() - {"__builtins__"})
 
 
 def test_resampling_risk_bracket(default_table):
@@ -278,10 +288,13 @@ def test_counts_refuse_underflowing_null_masses():
     first = next(n for n in range(2, 1001) if table.upper(n) <= n)
     assert 200 < first < 600
     counts = StoppingCounts(table, first - 1)
+    before = [a.copy() for a in (counts.tau, counts.s, counts.log_count)]
     with pytest.raises(FloatingPointError, match=f"at step {first} "):
         counts.extend(1000)
     # the failed call left the counts as they were
-    assert counts.horizon == first - 1 and counts._lattice.n == first - 1
+    assert counts.horizon == first - 1
+    for a, b in zip((counts.tau, counts.s, counts.log_count), before):
+        assert np.array_equal(a, b)
     with pytest.raises(FloatingPointError, match=f"at step {first} "):
         StoppingCounts(table, 1000)
 
@@ -323,7 +336,7 @@ def test_counts_masses_equal_array_formula(default_table, counts):
 
 
 def test_counts_copy_extended_leaves_the_original(default_table):
-    # extend rebinds the arrays and lattice it holds, never writes into them
+    # extend rebinds the arrays it holds, never writes into them
     given = StoppingCounts(default_table, 20_000)
     ps = DENSE_PS[::20]
     before = [given.masses(p) for p in ps]
@@ -362,6 +375,42 @@ def test_counts_extend_is_idempotent(default_table):
     assert c.tau.size == n1
     c.extend(3000)
     assert c.tau.size > n1
+
+
+def test_counts_extended_from_two_threads_equal_fresh_ones(default_table):
+    # extend publishes one sweep's records, each once, whichever thread wins
+    fresh = StoppingCounts(default_table, 300_000)
+    for _ in range(3):
+        shared = StoppingCounts(default_table, 1000)
+        start = threading.Barrier(2)
+
+        def grow(h):
+            start.wait()
+            shared.extend(h)
+
+        threads = [threading.Thread(target=grow, args=(h,)) for h in (200_000, 300_000)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert shared.horizon == 300_000
+        for name in ("tau", "s", "log_count"):
+            assert np.array_equal(getattr(shared, name), getattr(fresh, name)), name
+
+
+def test_counts_read_in_full_while_another_thread_extends(default_table):
+    # a read of every record sees whole records of one sweep, never arrays of
+    # two lengths
+    for _ in range(3):
+        counts = StoppingCounts(default_table, 1000)
+        grower = threading.Thread(
+            target=lambda: [counts.extend(h) for h in range(2_000, 40_001, 2_000)])
+        grower.start()
+        while grower.is_alive():
+            assert counts.masses(0.05).sum() <= 1.0 + 1e-12
+            counts.estimate_ge_mask(1, 20)
+            counts.estimate_le_mask(1, 20)
+        grower.join()
 
 
 # -- confidence intervals ---------------------------------------------------
@@ -450,8 +499,8 @@ def test_ci_at_its_cap_is_returned_uncertified(default_table):
     capped = confidence_interval(default_table, res, beta=0.1, counts=given, max_horizon=4000)
     assert capped.certified is False
     assert capped.horizon == 4000
-    # the interval extended a copy; the caller's counts are as they were
-    assert given.horizon == 2000 and given._lattice.n == 2000
+    # the interval built counts of its own; the caller's counts are as they were
+    assert given.horizon == 2000
     for a, b in zip((given.tau, given.s, given.log_count), before):
         assert np.array_equal(a, b)
     exact = confidence_interval(default_table, res, beta=0.1,

@@ -115,7 +115,8 @@ def test_extend_degenerate_step_matches(kernel):
 def sweep_both(table, p, horizon, *, state=None, alive_floor=0.0, record=True):
     out = []
     for path in (lambda f, *a, **k: f(*a, **k), numpy_path):
-        lat = None if state is None else state.copy()
+        lat = None if state is None else _native.Lattice(state.alive, state.n, state.offset,
+                                                         state.acc)
         stops = [] if record else None
         lat = path(inference._sweep, table, p, horizon, lat, alive_floor=alive_floor,
                    record=stops)
